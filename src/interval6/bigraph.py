@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -136,22 +135,25 @@ def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
     Isolated vertices form their own singleton components. X-vertices sort
     before Y-vertices, so the ordering is deterministic.
     """
-    seen: set[Vertex] = set()
+    # X-vertex i is node i and Y-vertex j is node x_count + j, so node
+    # order is vertex order
+    n = g.x_count
+    x_adj, y_adj = g.x_adj, g.y_adj
+    seen = [False] * (n + g.y_count)
     out: list[list[Vertex]] = []
-    for start in g.vertices():
-        if start in seen:
+    for start in range(len(seen)):
+        if seen[start]:
             continue
+        seen[start] = True
         comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for _, w in g.incident(v):
-                if w not in seen:
-                    seen.add(w)
+        for v in comp:  # breadth first: comp is the queue
+            nbrs = [n + j for _, j in x_adj[v]] if v < n else [i for _, i in y_adj[v - n]]
+            for w in nbrs:
+                if not seen[w]:
+                    seen[w] = True
                     comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
+        comp.sort()
+        out.append([xv(v) if v < n else yv(v - n) for v in comp])
     return out
 
 

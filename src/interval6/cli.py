@@ -36,6 +36,7 @@ from .checker import (
     vertex_colors,
 )
 from .coloring import PALETTE, color_from_factor
+from .errors import BudgetExceeded
 from .generators import (
     claw_triple_graph,
     eight_triples_graph,
@@ -146,17 +147,19 @@ def cmd_factor(args: argparse.Namespace) -> int:
         else:
             report["status"] = "found"
     else:
-        cert = search_full_3regular(g)
-        if cert is None:
-            report["status"] = "unknown"
-            report["reason"] = "no-full-3regular-subgraph"
-        else:
+        try:
+            cert = search_full_3regular(g, max_nodes=args.max_nodes)
+            reason = "no-full-3regular-subgraph"
+        except BudgetExceeded:
+            cert, reason = None, "budget"
+        if cert is not None:
             factor = factor_from_mixed_transversal(g, cert)
-            if factor is None:
-                report["status"] = "unknown"
-                report["reason"] = "no-mixed-transversal"
-            else:
-                report["status"] = "found"
+            reason = "no-mixed-transversal"
+        if factor is None:
+            report["status"] = "unknown"
+            report["reason"] = reason
+        else:
+            report["status"] = "found"
 
     if factor is not None:
         assert check_proper_path_factor(g, factor)

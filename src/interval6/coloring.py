@@ -16,17 +16,16 @@ rather than return a bad coloring.
 
 from __future__ import annotations
 
-from .bigraph import BipartiteMultigraph, Vertex, biregular34_k
+from .bigraph import BipartiteMultigraph, Vertex
 from .checker import (
     EdgeColoring,
     PathFactor,
     check_proper,
     interval_violation,
-    path_factor_violation,
     vertex_colors,
 )
 from .errors import InvariantError
-from .pathfactor import build_pgraph, build_q, two_color_pgraph
+from .pathfactor import _pgraph_from_q, build_q, two_color_pgraph
 
 PALETTE = 6
 FACTOR_COLORS = frozenset({1, 2, 5, 6})
@@ -52,12 +51,8 @@ def _factor_path_colors(length: int, a_interior: int) -> list[int]:
 
 def color_from_factor(g: BipartiteMultigraph, factor: PathFactor) -> EdgeColoring:
     """Interval 6-coloring built from a proper path factor."""
-    biregular34_k(g)
-    why = path_factor_violation(g, factor)
-    if why is not None:
-        raise ValueError(f"not a proper path factor: {why}")
-    qd = build_q(g, factor)
-    side = two_color_pgraph(build_pgraph(g, factor))
+    qd = build_q(g, factor)  # also checks the graph and the factor
+    side = two_color_pgraph(_pgraph_from_q(factor, qd))
 
     colors = [0] * len(g.edges)
 

@@ -177,7 +177,11 @@ def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
 
 def build_pgraph(g: BipartiteMultigraph, factor: PathFactor) -> PGraph:
     """Link graph of a factor; see PGraph. Computes the leftover split itself."""
-    qd = build_q(g, factor)
+    return _pgraph_from_q(factor, build_q(g, factor))
+
+
+def _pgraph_from_q(factor: PathFactor, qd: QDecomposition) -> PGraph:
+    """Link graph of a factor whose leftover split `qd` is already built."""
     vertices: list[int] = []
     edges: list[PEdge] = []
     for p in factor.paths:
@@ -241,20 +245,7 @@ def p3_half_factor(h: BipartiteMultigraph, parity: int = 0, start: int = 0) -> H
     if not is_biregular(h, 2, 4):
         raise ValueError("graph is not (2,4)-biregular")
     chosen: set[int] = set()
-    seen: set[Vertex] = set()
-    for v0 in h.vertices():
-        if v0 in seen:
-            continue
-        comp = [v0]
-        seen.add(v0)
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            for _, w in h.incident(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
+    for comp in components(h):
         circuit = eulerian_circuit(h, comp, start=start)
         chosen.update(circuit[parity::2])
 
@@ -286,49 +277,69 @@ def _exact_cover(
 ) -> tuple[int, ...] | None:
     """Subfamily of pairwise-disjoint sets covering 0..universe-1 exactly.
 
-    Backtracking on the uncovered element with the fewest usable sets,
-    candidates tried in ascending id. Returns chosen ids sorted, or None.
+    Knuth's Algorithm X (*Dancing Links*, arXiv cs/0011047) with an
+    explicit stack instead of recursion, and with live flags plus
+    per-element live counts in place of the linked lists. A candidate is
+    live while all its elements are uncovered; choosing one kills every
+    live candidate that meets it and decrements their elements' counts,
+    and backtracking revives them. Each node branches on the uncovered
+    element with the fewest live candidates (ties: lowest element) and
+    tries those candidates in ascending id. Every node counts against `max_nodes`, the root and
+    dead ends included; the node past the cap raises BudgetExceeded.
+    Returns the chosen ids sorted, or None.
     """
-    owners: list[list[tuple[int, frozenset[int]]]] = [[] for _ in range(universe)]
-    for cid, s in sorted(candidates):
+    ordered = sorted(candidates, key=lambda c: c[0])
+    rows = [s for _, s in ordered]
+    rows_of: list[list[int]] = [[] for _ in range(universe)]
+    for r, s in enumerate(rows):
         for el in s:
-            owners[el].append((cid, s))
-    covered = [False] * universe
-    chosen: list[int] = []
+            rows_of[el].append(r)
+    live = [True] * len(rows)
+    live_count = [len(rs) for rs in rows_of]
+    done = len(rows) + 1  # count given to a covered element: above any live count
+    stack: list[list] = []  # open nodes: [options, next option, rows killed by the current one]
     nodes = 0
-
-    def usable(s: frozenset[int]) -> bool:
-        return not any(covered[el] for el in s)
-
-    def go() -> bool:
-        nonlocal nodes
+    while True:
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetExceeded(f"exact cover stopped after {nodes} nodes")
-        best = None
-        best_opts = None
-        for el in range(universe):
-            if covered[el]:
+        least = min(live_count, default=done)
+        if least == done:
+            return tuple(sorted(ordered[frame[0][frame[1] - 1]][0] for frame in stack))
+        if least:  # else a dead end: some element has no live candidate
+            el = live_count.index(least)
+            stack.append([[r for r in rows_of[el] if live[r]], 0, None])
+        # back up to the deepest node with an untried option and take it
+        while stack:
+            frame = stack[-1]
+            options, pos, killed = frame
+            if killed is not None:
+                row = rows[options[pos - 1]]
+                for el in row:
+                    live_count[el] = 0
+                for r in killed:
+                    live[r] = True
+                    for el in rows[r]:
+                        live_count[el] += 1
+            if pos == len(options):
+                stack.pop()
                 continue
-            opts = [cs for cs in owners[el] if usable(cs[1])]
-            if best_opts is None or len(opts) < len(best_opts):
-                best, best_opts = el, opts
-                if not opts:
-                    return False
-        if best is None:
-            return True
-        for cid, s in best_opts:
-            for el in s:
-                covered[el] = True
-            chosen.append(cid)
-            if go():
-                return True
-            chosen.pop()
-            for el in s:
-                covered[el] = False
-        return False
-
-    return tuple(sorted(chosen)) if go() else None
+            row = rows[options[pos]]
+            killed = []
+            for el in row:
+                for r in rows_of[el]:
+                    if live[r]:
+                        live[r] = False
+                        killed.append(r)
+                        for el2 in rows[r]:
+                            live_count[el2] -= 1
+            for el in row:
+                live_count[el] = done
+            frame[1] = pos + 1
+            frame[2] = killed
+            break
+        else:
+            return None
 
 
 def find_y_cover(g: BipartiteMultigraph) -> tuple[int, ...] | None:
@@ -576,7 +587,12 @@ def search_full_3regular(
     edges or none; the subgraph is determined by the deleted X-set, and
     feasibility means every Y-vertex has exactly one edge (counting
     multiplicity) into that set. That is an exact cover of Y by
-    X-neighborhoods, searched with the same backtracking as find_y_cover.
+    X-neighborhoods, searched by the same iterative engine as
+    find_y_cover (`_exact_cover`): branch on the Y-vertex with the fewest
+    live X-candidates (ties: lowest index), try candidates in ascending
+    X index. `max_nodes` caps the search nodes, root and dead ends
+    included; exceeding it raises BudgetExceeded, so None always means
+    no such subgraph exists.
     """
     from .checker import SubgraphCertificate
 

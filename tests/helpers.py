@@ -26,3 +26,20 @@ def random_cover_admitting(k: int, rng: random.Random) -> BipartiteMultigraph:
         for x in order[4 * j : 4 * j + 4]:
             edges.append((x, 2 * k + j))
     return build(4 * k, 3 * k, edges)
+
+
+def random_core_admitting(k: int, rng: random.Random) -> BipartiteMultigraph:
+    """(3,4)-biregular graph that certainly has a full 3-regular subgraph.
+
+    A configuration-model 3-regular core on 3k + 3k vertices plus k new
+    X-vertices wired to a random partition of Y into triples.
+    """
+    y_stubs = [j for j in range(3 * k) for _ in range(3)]
+    rng.shuffle(y_stubs)
+    edges = [(s // 3, y_stubs[s]) for s in range(9 * k)]
+    order = list(range(3 * k))
+    rng.shuffle(order)
+    for i in range(k):
+        for y in order[3 * i : 3 * i + 3]:
+            edges.append((3 * k + i, y))
+    return build(4 * k, 3 * k, edges)

@@ -108,6 +108,18 @@ def test_factor_transversal_paths(capsys, tmp_path):
     assert json.loads(out)["reason"] == "no-full-3regular-subgraph"
 
 
+def test_factor_transversal_budget_stop(capsys, tmp_path):
+    gpath = gen_file(capsys, tmp_path, "claw-triple")
+    code, out, _ = run(capsys, "factor", "--in", str(gpath), "--method", "transversal",
+                       "--max-nodes", "1")
+    assert code == 2
+    assert json.loads(out) == {"method": "transversal", "status": "unknown", "reason": "budget"}
+    # two nodes decide it: the subgraph exists, the link structure has no transversal
+    code, out, _ = run(capsys, "factor", "--in", str(gpath), "--method", "transversal",
+                       "--max-nodes", "2")
+    assert code == 2 and json.loads(out)["reason"] == "no-mixed-transversal"
+
+
 def test_factor_rejects_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, "factor", "--in", str(tmp_path / "missing.json"))
     assert code == 3 and "cannot read graph" in err

@@ -1,0 +1,153 @@
+"""The iterative exact-cover engine against the recursive one it replaced.
+
+Both `find_y_cover` (Y-neighbourhoods partitioning X) and
+`search_full_3regular` (X-neighbourhoods partitioning Y) run through
+`pathfactor._exact_cover`. The engine must keep the old search order, so
+on every instance it returns the same ids, and under a node cap it stops
+at the same node with the same message.
+"""
+
+import random
+
+import pytest
+from helpers import random_core_admitting, random_cover_admitting
+
+from interval6.bigraph import BipartiteMultigraph, build
+from interval6.errors import BudgetExceeded
+from interval6.generators import random_34_biregular
+from interval6.pathfactor import _exact_cover, find_y_cover, search_full_3regular
+
+
+def reference_exact_cover(
+    universe: int,
+    candidates: list[tuple[int, frozenset[int]]],
+    max_nodes: int | None = None,
+) -> tuple[int, ...] | None:
+    """The recursive backtracking engine `_exact_cover` replaced.
+
+    It rescans every uncovered element's usable sets at each node and
+    recurses once per chosen set. Kept only as the reference whose search
+    order (and so results and node counts) the iterative engine must
+    reproduce.
+    """
+    owners: list[list[tuple[int, frozenset[int]]]] = [[] for _ in range(universe)]
+    for cid, s in sorted(candidates):
+        for el in s:
+            owners[el].append((cid, s))
+    covered = [False] * universe
+    chosen: list[int] = []
+    nodes = 0
+
+    def usable(s: frozenset[int]) -> bool:
+        return not any(covered[el] for el in s)
+
+    def go() -> bool:
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetExceeded(f"exact cover stopped after {nodes} nodes")
+        best = None
+        best_opts = None
+        for el in range(universe):
+            if covered[el]:
+                continue
+            opts = [cs for cs in owners[el] if usable(cs[1])]
+            if best_opts is None or len(opts) < len(best_opts):
+                best, best_opts = el, opts
+                if not opts:
+                    return False
+        if best is None:
+            return True
+        for cid, s in best_opts:
+            for el in s:
+                covered[el] = True
+            chosen.append(cid)
+            if go():
+                return True
+            chosen.pop()
+            for el in s:
+                covered[el] = False
+        return False
+
+    return tuple(sorted(chosen)) if go() else None
+
+
+def y_candidates(g: BipartiteMultigraph) -> list[tuple[int, frozenset[int]]]:
+    sets = [(j, frozenset(i for _, i in g.y_adj[j])) for j in range(g.y_count)]
+    return [(j, s) for j, s in sets if len(s) == 4]
+
+
+def x_candidates(g: BipartiteMultigraph) -> list[tuple[int, frozenset[int]]]:
+    sets = [(i, frozenset(j for _, j in g.x_adj[i])) for i in range(g.x_count)]
+    return [(i, s) for i, s in sets if len(s) == 3]
+
+
+def problems():
+    """(universe, candidates) from planted covers and cores and random graphs."""
+    rng = random.Random(2024)
+    out = []
+    for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
+        g = random_cover_admitting(k, rng)
+        out.append((g.x_count, y_candidates(g)))
+    for k in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 25):
+        g = random_core_admitting(k, rng)
+        out.append((g.y_count, x_candidates(g)))
+    for k in (1, 2, 3, 4, 6):
+        g = random_34_biregular(k, seed=rng.randrange(10**9), simple_only=False)
+        out.append((g.x_count, y_candidates(g)))
+        out.append((g.y_count, x_candidates(g)))
+    return out
+
+
+def outcome(engine, universe, candidates, max_nodes=None):
+    try:
+        return engine(universe, candidates, max_nodes=max_nodes)
+    except BudgetExceeded as exc:
+        return f"budget: {exc}"
+
+
+def test_same_answers_as_reference():
+    for universe, candidates in problems():
+        want = reference_exact_cover(universe, candidates)
+        assert _exact_cover(universe, candidates) == want
+
+
+@pytest.mark.parametrize("cap", [1, 3, 50])
+def test_same_budget_stops_as_reference(cap):
+    stops = 0
+    for universe, candidates in problems():
+        want = outcome(reference_exact_cover, universe, candidates, cap)
+        assert outcome(_exact_cover, universe, candidates, cap) == want
+        stops += isinstance(want, str)
+    assert stops > 0
+
+
+def test_public_searches_match_reference():
+    rng = random.Random(7)
+    for _ in range(10):
+        g = random_cover_admitting(rng.randrange(1, 30), rng)
+        assert find_y_cover(g) == reference_exact_cover(g.x_count, y_candidates(g))
+    for _ in range(10):
+        g = random_core_admitting(rng.randrange(1, 12), rng)
+        want = reference_exact_cover(g.y_count, x_candidates(g))
+        cert = search_full_3regular(g)
+        assert want is not None and cert is not None
+        dropped = {x for eid, (x, _) in enumerate(g.edges) if eid not in cert.edge_set}
+        assert tuple(sorted(dropped)) == want
+
+
+def test_empty_universe_and_no_candidates():
+    assert _exact_cover(0, []) == reference_exact_cover(0, []) == ()
+    assert _exact_cover(2, []) is None
+    assert _exact_cover(2, [(5, frozenset({0, 1})), (1, frozenset({0}))]) == (5,)
+
+
+def test_cover_depth_does_not_recurse():
+    """A forced chain of k choices: deep enough to overflow a recursive search."""
+    k = 1500
+    edges = []
+    for i in range(4 * k):
+        edges.append((i, i // 4))  # the cover vertex y(i // 4)
+        edges += [(i, k + i // 2)] * 2  # a double edge to y'(i // 2): never a candidate
+    g = build(4 * k, 3 * k, edges)
+    assert find_y_cover(g) == tuple(range(k))
