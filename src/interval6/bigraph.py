@@ -296,9 +296,20 @@ def to_dict(g: BipartiteMultigraph) -> dict:
     }
 
 
+def _strict_int(value, what: str) -> int:
+    """`value` itself when it is an int and not a bool; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_dict(d: dict) -> BipartiteMultigraph:
     try:
-        return build(d["x_count"], d["y_count"], [tuple(e) for e in d["edges"]])
+        return build(
+            _strict_int(d["x_count"], "x_count"),
+            _strict_int(d["y_count"], "y_count"),
+            [tuple(_strict_int(v, "edge endpoint") for v in e) for e in d["edges"]],
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph object: {exc}") from exc
 

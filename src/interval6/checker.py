@@ -4,7 +4,8 @@ Everything a construction can hand back is a certificate: an edge
 coloring, a path factor, or an edge-set subgraph. The checkers here are
 the ground truth the rest of the library (and its tests) verify against,
 so they are written as directly as possible from the definitions and do
-no clever work.
+no clever work. One pass over the vertices decides both properness and
+the interval property of an edge coloring.
 
 Conventions: a malformed certificate (dangling edge id, vertex out of
 range, partial coloring) raises ValueError; a well-formed certificate
@@ -13,10 +14,9 @@ that simply fails the property returns False.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .bigraph import BipartiteMultigraph, Vertex, is_biregular, parse_vertex, xv, yv
+from .bigraph import BipartiteMultigraph, Vertex, _strict_int, is_biregular, parse_vertex, xv, yv
 
 FACTOR_LENGTHS = (2, 4, 6, 8)
 
@@ -79,31 +79,43 @@ def vertex_colors(g: BipartiteMultigraph, coloring: EdgeColoring, v: Vertex) -> 
     return sorted(coloring.colors[eid] for eid, _ in g.incident(v))
 
 
+def _coloring_scan(
+    g: BipartiteMultigraph, coloring: EdgeColoring
+) -> tuple[bool, tuple[Vertex, tuple[int, ...]] | None]:
+    """(proper, first vertex whose colors are not consecutive, with its colors).
+
+    One pass over the vertices, stopping at the first color clash; the gap
+    is only meaningful when the coloring is proper.
+    """
+    _validate_coloring(g, coloring)
+    colors = coloring.colors
+    gap = None
+    for side, adj in (("X", g.x_adj), ("Y", g.y_adj)):
+        for index, incident in enumerate(adj):
+            cols = sorted(colors[eid] for eid, _ in incident)
+            if len(set(cols)) != len(cols):
+                return False, None
+            if gap is None and cols and cols[-1] - cols[0] != len(cols) - 1:
+                gap = Vertex(side, index), tuple(cols)
+    return True, gap
+
+
 def check_proper(g: BipartiteMultigraph, coloring: EdgeColoring) -> bool:
     """No color repeats at any vertex. Partial colorings are an error."""
-    _validate_coloring(g, coloring)
-    for v in g.vertices():
-        cols = vertex_colors(g, coloring, v)
-        if len(set(cols)) != len(cols):
-            return False
-    return True
+    return _coloring_scan(g, coloring)[0]
 
 
 def interval_violation(g: BipartiteMultigraph, coloring: EdgeColoring) -> tuple[Vertex, tuple[int, ...]] | None:
     """First vertex whose incident colors are not consecutive, with its colors.
 
     Properness is a precondition (consecutiveness of a multiset with
-    repeats is not meaningful), so an improper coloring raises.
+    repeats is not meaningful), so an improper coloring raises, even when
+    an earlier vertex already has a gap.
     """
-    if not check_proper(g, coloring):
+    proper, gap = _coloring_scan(g, coloring)
+    if not proper:
         raise ValueError("coloring is not proper; interval property undefined")
-    for v in g.vertices():
-        cols = vertex_colors(g, coloring, v)
-        if not cols:
-            continue
-        if cols[-1] - cols[0] != len(cols) - 1:
-            return v, tuple(cols)
-    return None
+    return gap
 
 
 def check_interval(g: BipartiteMultigraph, coloring: EdgeColoring) -> bool:
@@ -198,24 +210,16 @@ def factor_to_dict(factor: PathFactor) -> dict:
 
 
 def factor_from_dict(d: dict) -> PathFactor:
+    paths = []
     try:
-        raw = d["paths"]
+        for seq in d["paths"]:
+            if len(seq) % 2 == 0 or len(seq) < 3:
+                raise ValueError(f"path array of length {len(seq)} cannot alternate vertex/edge")
+            verts = [parse_vertex(item) for item in seq[::2]]
+            eids = [_strict_int(item, f"edge id at position {i}") for i, item in enumerate(seq) if i % 2]
+            paths.append(Path(tuple(verts), tuple(eids)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed factor object: {exc}") from exc
-    paths = []
-    for seq in raw:
-        if len(seq) % 2 == 0 or len(seq) < 3:
-            raise ValueError(f"path array of length {len(seq)} cannot alternate vertex/edge")
-        verts = []
-        eids = []
-        for i, item in enumerate(seq):
-            if i % 2 == 0:
-                verts.append(parse_vertex(item))
-            else:
-                if not isinstance(item, int):
-                    raise ValueError(f"expected edge id at position {i}, got {item!r}")
-                eids.append(item)
-        paths.append(Path(tuple(verts), tuple(eids)))
     return PathFactor(tuple(paths))
 
 
@@ -225,7 +229,10 @@ def coloring_to_dict(coloring: EdgeColoring) -> dict:
 
 def coloring_from_dict(d: dict) -> EdgeColoring:
     try:
-        return EdgeColoring(tuple(int(c) for c in d["colors"]), int(d["palette_size"]))
+        return EdgeColoring(
+            tuple(_strict_int(c, "color") for c in d["colors"]),
+            _strict_int(d["palette_size"], "palette_size"),
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coloring object: {exc}") from exc
 
@@ -236,20 +243,6 @@ def cert_to_dict(cert: SubgraphCertificate) -> dict:
 
 def cert_from_dict(d: dict) -> SubgraphCertificate:
     try:
-        return SubgraphCertificate(frozenset(int(e) for e in d["edges"]))
+        return SubgraphCertificate(frozenset(_strict_int(e, "edge id") for e in d["edges"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed subgraph object: {exc}") from exc
-
-
-def dump_certificate(obj, path: str) -> None:
-    if isinstance(obj, PathFactor):
-        d = factor_to_dict(obj)
-    elif isinstance(obj, EdgeColoring):
-        d = coloring_to_dict(obj)
-    elif isinstance(obj, SubgraphCertificate):
-        d = cert_to_dict(obj)
-    else:
-        raise TypeError(f"not a certificate: {obj!r}")
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1)
-        fh.write("\n")

@@ -18,8 +18,6 @@ from .bigraph import (
     from_json,
     to_dot,
     to_json,
-    xv,
-    yv,
 )
 from .checker import (
     PathFactor,
@@ -33,9 +31,8 @@ from .checker import (
     factor_to_dict,
     interval_violation,
     path_factor_violation,
-    vertex_colors,
 )
-from .coloring import PALETTE, color_from_factor
+from .coloring import PALETTE, color_from_factor, color_summary
 from .errors import BudgetExceeded
 from .generators import (
     claw_triple_graph,
@@ -140,10 +137,14 @@ def cmd_factor(args: argparse.Namespace) -> int:
         factor = oracle_path_factor(g)
         report["status"] = "found" if factor else "none"
     elif args.method == "via24":
-        factor = p7_factor_via_24(g)
+        try:
+            factor = p7_factor_via_24(g, max_nodes=args.max_nodes)
+            reason = "no-y-cover"
+        except BudgetExceeded:
+            factor, reason = None, "budget"
         if factor is None:
             report["status"] = "unknown"
-            report["reason"] = "no-y-cover"
+            report["reason"] = reason
         else:
             report["status"] = "found"
     else:
@@ -186,9 +187,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         colors = {eid: c for eid, c in enumerate(coloring.colors)}
         _write_text(args.dot, to_dot(g, colors))
     if args.summary:
-        verts = [xv(i) for i in range(g.x_count)] + [yv(j) for j in range(g.y_count)]
-        for v in verts:
-            got = vertex_colors(g, coloring, v)
+        for v, got in color_summary(g, coloring).items():
             print(f"{v.label}: {' '.join(map(str, got))}")
     return EXIT_OK
 

@@ -20,7 +20,6 @@ from .bigraph import BipartiteMultigraph, Vertex
 from .checker import (
     EdgeColoring,
     PathFactor,
-    check_proper,
     interval_violation,
     vertex_colors,
 )
@@ -88,9 +87,10 @@ def color_from_factor(g: BipartiteMultigraph, factor: PathFactor) -> EdgeColorin
         if c not in want:
             raise InvariantError(f"edge {eid} got color {c}, outside {sorted(want)}")
     out = EdgeColoring(tuple(colors), PALETTE)
-    if not check_proper(g, out):
-        raise InvariantError("construction produced a color clash")
-    bad = interval_violation(g, out)
+    try:
+        bad = interval_violation(g, out)
+    except ValueError as exc:  # the coloring is total and in range, so only a clash raises
+        raise InvariantError("construction produced a color clash") from exc
     if bad is not None:
         v, got = bad
         raise InvariantError(f"colors {got} at {v.label} are not consecutive")

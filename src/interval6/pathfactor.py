@@ -342,13 +342,14 @@ def _exact_cover(
             return None
 
 
-def find_y_cover(g: BipartiteMultigraph) -> tuple[int, ...] | None:
+def find_y_cover(g: BipartiteMultigraph, max_nodes: int | None = None) -> tuple[int, ...] | None:
     """k Y-vertices whose neighborhoods exactly cover X, or None.
 
     Only Y-vertices with four distinct neighbors qualify (a parallel edge
     would leave its X-vertex short after deletion). Deleting such a set
     leaves every X-vertex with exactly 2 edges, i.e. a (2,4)-biregular
-    graph.
+    graph. `max_nodes` caps the exact-cover search nodes; exceeding it
+    raises BudgetExceeded, so None always means no cover exists.
     """
     biregular34_k(g)
     cands = []
@@ -356,7 +357,7 @@ def find_y_cover(g: BipartiteMultigraph) -> tuple[int, ...] | None:
         nbrs = frozenset(i for _, i in g.y_adj[j])
         if len(nbrs) == 4:
             cands.append((j, nbrs))
-    return _exact_cover(g.x_count, cands)
+    return _exact_cover(g.x_count, cands, max_nodes=max_nodes)
 
 
 def _degenerate(hf: HalfFactor) -> bool:
@@ -364,7 +365,7 @@ def _degenerate(hf: HalfFactor) -> bool:
     return any(p.vertices[0] == p.vertices[2] for p in hf.paths)
 
 
-def p7_factor_via_24(g: BipartiteMultigraph) -> PathFactor | None:
+def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> PathFactor | None:
     """All-lengths-6 factor via Y-cover peeling, or None when no cover exists.
 
     Pipeline: find a Y-cover, take a half factor T_1..T_2k of the peeled
@@ -378,10 +379,11 @@ def p7_factor_via_24(g: BipartiteMultigraph) -> PathFactor | None:
     with the opposite parity class and then with rotated circuit starts
     before giving up. A valid half factor cannot actually be degenerate
     (each contracted point has degree exactly 1 in it), so the retries
-    are a safety net rather than an expected code path.
+    are a safety net rather than an expected code path. `max_nodes` is
+    passed to find_y_cover, whose BudgetExceeded propagates.
     """
-    k = biregular34_k(g)
-    cover = find_y_cover(g)
+    biregular34_k(g)
+    cover = find_y_cover(g, max_nodes=max_nodes)
     if cover is None:
         return None
     h, h_edges, h_ys = delete_y(g, cover)
@@ -505,14 +507,11 @@ def search_proper_path_factor(
                 return False
         return True
 
-    class _Stop(Exception):
-        pass
-
     def tick() -> None:
         nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
-            raise _Stop
+            raise BudgetExceeded(f"factor search stopped after {nodes} nodes")
 
     def solve() -> bool:
         tick()
@@ -574,7 +573,7 @@ def search_proper_path_factor(
             assert check_proper_path_factor(g, factor)
             return SearchResult("found", factor, nodes)
         return SearchResult("none", None, nodes)
-    except _Stop:
+    except BudgetExceeded:
         return SearchResult("unknown", None, nodes)
 
 

@@ -159,6 +159,32 @@ def fstar_components(f: FGraph, ts: TripleSystem) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
+def _gaps(cyc: tuple[int, ...], members: set[int]) -> list[tuple[int, int]] | None:
+    """(start position, length) of each gap of `cyc`, or None if no member lies on it.
+
+    A gap is the run of non-members after a member, up to the next member
+    around the cycle; it may be empty, and positions past the end wrap.
+    """
+    pos = [i for i, y in enumerate(cyc) if y in members]
+    if not pos:
+        return None
+    return [(a + 1, b - a - 1) for a, b in zip(pos, pos[1:] + [pos[0] + len(cyc)])]
+
+
+def _spread_violation(cycles: Iterable[tuple[int, ...]], members: set[int]) -> str | None:
+    """Why `members` is not spread along `cycles`, or None if it is.
+
+    Spread means every cycle has a member and no gap is longer than 3.
+    """
+    for cyc in cycles:
+        gaps = _gaps(cyc, members)
+        if gaps is None:
+            return "misses an F-cycle"
+        if any(length > 3 for _, length in gaps):
+            return "leaves a gap over 3"
+    return None
+
+
 def is_spread(f: FGraph, members: Iterable[int], orientation: int = 1) -> bool:
     """True when every F-cycle meets `members` with gaps of at most 3.
 
@@ -169,16 +195,8 @@ def is_spread(f: FGraph, members: Iterable[int], orientation: int = 1) -> bool:
     """
     if orientation not in (1, -1):
         raise ValueError("orientation is 1 or -1")
-    chosen = set(members)
-    for cyc in f.cycles:
-        walk = cyc if orientation == 1 else cyc[::-1]
-        pos = [i for i, y in enumerate(walk) if y in chosen]
-        if not pos:
-            return False
-        for a, b in zip(pos, pos[1:] + [pos[0] + len(walk)]):
-            if b - a - 1 > 3:
-                return False
-    return True
+    walks = f.cycles if orientation == 1 else [cyc[::-1] for cyc in f.cycles]
+    return _spread_violation(walks, set(members)) is None
 
 
 def _f_neighbors(f: FGraph) -> tuple[dict[int, set[int]], set[int]]:
@@ -239,18 +257,17 @@ def _spread_for(
         open_triples = {i for i in idxs if i not in chosen}
         total_need = 0
         for cyc in cycles:
-            pos = [i for i, y in enumerate(cyc) if y in members]
-            if not pos:
+            gaps = _gaps(cyc, members)
+            if gaps is None:
                 pots = {ts.triple_of[y] for y in cyc if ts.triple_of[y] in open_triples}
                 if not pots:
                     return False
                 total_need += math.ceil(len(cyc) / 4)
                 continue
-            for a, b in zip(pos, pos[1:] + [pos[0] + len(cyc)]):
-                gap = b - a - 1
+            for start, gap in gaps:
                 if gap <= 3:
                     continue
-                arc = [cyc[t % len(cyc)] for t in range(a + 1, b)]
+                arc = [cyc[t % len(cyc)] for t in range(start, start + gap)]
                 pots = {ts.triple_of[y] for y in arc if ts.triple_of[y] in open_triples}
                 need = math.ceil((gap - 3) / 4)
                 if len(pots) < need:
@@ -258,22 +275,11 @@ def _spread_for(
                 total_need += need
         return total_need <= len(open_triples)
 
-    def complete() -> bool:
-        members = set(chosen.values())
-        for cyc in cycles:
-            pos = [i for i, y in enumerate(cyc) if y in members]
-            if not pos:
-                return False
-            for a, b in zip(pos, pos[1:] + [pos[0] + len(cyc)]):
-                if b - a - 1 > 3:
-                    return False
-        return True
-
     order = sorted(idxs)
 
     def go(at: int) -> bool:
         if at == len(order):
-            return complete()
+            return _spread_violation(cycles, set(chosen.values())) is None
         i = order[at]
         for y in ts.triples[i]:
             chosen[i] = y
@@ -507,15 +513,9 @@ def _validate_mixed(f: FGraph, ts: TripleSystem, mixed: MixedTransversal) -> Non
                 raise ValueError("part is not an independent transversal")
         elif part.case == "spread":
             comp = {y for i in part.indices for y in ts.triples[i]}
-            for cyc in f.cycles:
-                if cyc[0] not in comp:
-                    continue
-                pos = [i for i, y in enumerate(cyc) if y in set(chosen)]
-                if not pos:
-                    raise ValueError("part misses an F-cycle, not spread")
-                for a, b in zip(pos, pos[1:] + [pos[0] + len(cyc)]):
-                    if b - a - 1 > 3:
-                        raise ValueError("part leaves a gap over 3, not spread")
+            why = _spread_violation((c for c in f.cycles if c[0] in comp), set(chosen))
+            if why is not None:
+                raise ValueError(f"part {why}, not spread")
         else:
             raise ValueError(f"unknown case {part.case!r}")
 

@@ -185,6 +185,14 @@ def test_json_round_trip_preserves_edge_order():
         bigraph.from_dict({"x_count": 1})
 
 
+def test_from_json_rejects_non_integers():
+    for edge in ("[0.7, 0.2]", "[true, false]", '["0", 0]'):
+        with pytest.raises(ValueError, match="must be an integer"):
+            bigraph.from_json(f'{{"x_count": 2, "y_count": 1, "edges": [{edge}]}}')
+    with pytest.raises(ValueError, match="must be an integer"):
+        bigraph.from_json('{"x_count": 2.0, "y_count": 1, "edges": []}')
+
+
 def test_dot_output_draws_parallel_edges_separately():
     g = build(1, 1, [(0, 0), (0, 0)])
     dot = bigraph.to_dot(g)

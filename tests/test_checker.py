@@ -104,6 +104,17 @@ def test_interval_on_improper_coloring_is_an_error():
         check_interval(g, EdgeColoring((2, 2), 2))
 
 
+def test_improper_coloring_raises_past_an_earlier_gap():
+    # x0 sees 1 and 3 (a gap) before y1 sees 3 twice (a clash)
+    g = build(2, 2, [(0, 0), (0, 1), (1, 1)])
+    col = EdgeColoring((1, 3, 3), 3)
+    assert not check_proper(g, col)
+    with pytest.raises(ValueError, match="not proper"):
+        interval_violation(g, col)
+    with pytest.raises(ValueError, match="not proper"):
+        check_interval(g, col)
+
+
 def hamiltonian_p7_of_k34():
     g = k34()
     p = brute_force_hamiltonian_path(g, xv(0), xv(3))
@@ -183,3 +194,23 @@ def test_coloring_and_cert_serialization_round_trip():
     assert cert_to_dict(cert)["edges"] == [1, 3]
     with pytest.raises(ValueError):
         coloring_from_dict({"colors": [1]})
+
+
+def test_factor_from_dict_rejects_non_integer_edge_ids():
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="edge id"):
+            factor_from_dict({"paths": [["x0", bad, "y0", 1, "x1"]]})
+    with pytest.raises(ValueError, match="malformed"):
+        factor_from_dict({"paths": [["x0", 0, 5]]})  # vertex given as a number
+
+
+def test_coloring_from_dict_rejects_non_integers():
+    for colors, palette in (([1, 2.9], 6), ([1, "3"], 6), ([1, True], 6), ([1, 2], 6.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            coloring_from_dict({"colors": colors, "palette_size": palette})
+
+
+def test_cert_from_dict_rejects_non_integers():
+    for bad in (1.5, "2", True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            cert_from_dict({"edges": [0, bad]})

@@ -120,6 +120,18 @@ def test_factor_transversal_budget_stop(capsys, tmp_path):
     assert code == 2 and json.loads(out)["reason"] == "no-mixed-transversal"
 
 
+def test_factor_via24_budget_stop(capsys, tmp_path):
+    gpath = gen_file(capsys, tmp_path, "random", "--k", "1")  # K_{4,3}: one Y-vertex covers X
+    code, out, _ = run(capsys, "factor", "--in", str(gpath), "--method", "via24",
+                       "--max-nodes", "1")
+    assert code == 2
+    assert json.loads(out) == {"method": "via24", "status": "unknown", "reason": "budget"}
+    # the root and the one cover row decide it
+    code, out, _ = run(capsys, "factor", "--in", str(gpath), "--method", "via24",
+                       "--max-nodes", "2")
+    assert code == 0 and json.loads(out)["lengths"] == [6]
+
+
 def test_factor_rejects_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, "factor", "--in", str(tmp_path / "missing.json"))
     assert code == 3 and "cannot read graph" in err

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from helpers import random_core_admitting
 
 from interval6.bigraph import build
 from interval6.checker import check_full_3regular, check_proper_path_factor
@@ -376,3 +377,23 @@ def test_factor_from_transversal_on_random_instances():
         assert all(p.length in (2, 4, 6, 8) for p in factor.paths)
     assert certs >= 10
     assert factors >= 10
+
+
+def test_forced_spread_part_is_rejected_exactly_when_not_spread():
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(60):
+        g = random_core_admitting(rng.randrange(2, 6), rng)
+        cert = search_full_3regular(g)
+        f, ts = build_f(g, cert)
+        members = tuple(rng.choice(t) for t in ts.triples)
+        forced = MixedTransversal(members, (TransversalPart(tuple(range(len(ts.triples))), "spread"),))
+        spread = is_spread(f, members)
+        outcomes.add(spread)
+        if spread:
+            factor = factor_from_mixed_transversal(g, cert, mixed=forced)
+            assert check_proper_path_factor(g, factor)
+        else:
+            with pytest.raises(ValueError, match="not spread"):
+                factor_from_mixed_transversal(g, cert, mixed=forced)
+    assert outcomes == {True, False}
