@@ -41,6 +41,11 @@ def yv(j: int) -> Vertex:
 _LABEL_RE = re.compile(r"^([xy])(\d+)$")
 
 
+def node_vertex(x_count: int, node: int) -> Vertex:
+    """The vertex with node id `node` (see BipartiteMultigraph.node_adj)."""
+    return xv(node) if node < x_count else yv(node - x_count)
+
+
 def parse_vertex(label: str) -> Vertex:
     m = _LABEL_RE.match(label)
     if not m:
@@ -73,6 +78,16 @@ class BipartiteMultigraph:
         for eid, (x, y) in enumerate(self.edges):
             adj[y].append((eid, x))
         return tuple(tuple(a) for a in adj)
+
+    @cached_property
+    def node_adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Edges at every vertex as (edge id, other end) over node ids.
+
+        X-vertex i is node i and Y-vertex j is node x_count + j, so node
+        order is vertex order; each list is in edge-id order.
+        """
+        n = self.x_count
+        return tuple(tuple((eid, n + j) for eid, j in a) for a in self.x_adj) + self.y_adj
 
     def degree(self, v: Vertex) -> int:
         if v.side == "X":
@@ -135,11 +150,9 @@ def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
     Isolated vertices form their own singleton components. X-vertices sort
     before Y-vertices, so the ordering is deterministic.
     """
-    # X-vertex i is node i and Y-vertex j is node x_count + j, so node
-    # order is vertex order
     n = g.x_count
-    x_adj, y_adj = g.x_adj, g.y_adj
-    seen = [False] * (n + g.y_count)
+    adj = g.node_adj
+    seen = [False] * len(adj)
     out: list[list[Vertex]] = []
     for start in range(len(seen)):
         if seen[start]:
@@ -147,13 +160,12 @@ def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
         seen[start] = True
         comp = [start]
         for v in comp:  # breadth first: comp is the queue
-            nbrs = [n + j for _, j in x_adj[v]] if v < n else [i for _, i in y_adj[v - n]]
-            for w in nbrs:
+            for _, w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
         comp.sort()
-        out.append([xv(v) if v < n else yv(v - n) for v in comp])
+        out.append([node_vertex(n, v) for v in comp])
     return out
 
 
@@ -167,42 +179,41 @@ def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex], start:
     deterministic; `start` rotates which vertex the walk begins at
     (index into the sorted vertices that have edges).
     """
-    verts = sorted(set(component))
-    for v in verts:
-        if g.degree(v) % 2:
-            raise ValueError(f"vertex {v.label} has odd degree {g.degree(v)}")
-    carriers = [v for v in verts if g.degree(v) > 0]
+    n = g.x_count
+    adj = g.node_adj
+    verts = sorted(set(component))  # vertex order is node order
+    nodes = [v.index if v.side == "X" else n + v.index for v in verts]
+    for v, u in zip(verts, nodes):
+        if len(adj[u]) % 2:
+            raise ValueError(f"vertex {v.label} has odd degree {len(adj[u])}")
+    carriers = [u for u in nodes if adj[u]]
     if not carriers:
         return []
-    start_v = carriers[start % len(carriers)]
-    vset = set(verts)
+    inside = [False] * len(adj)
+    for u in nodes:
+        inside[u] = True
+    ptr = [0] * len(adj)
+    used = [False] * g.edge_count
+    total = sum(len(adj[u]) for u in carriers) // 2
 
-    adj = {v: list(g.incident(v)) for v in carriers}
-    ptr = {v: 0 for v in carriers}
-    used: set[int] = set()
-    total = sum(len(a) for a in adj.values()) // 2
-
-    stack: list[tuple[Vertex, int | None]] = [(start_v, None)]
+    stack: list[tuple[int, int]] = [(carriers[start % len(carriers)], -1)]  # (node, entry edge)
     rev: list[int] = []
     while stack:
         v, entry = stack[-1]
-        if v not in vset:
-            raise ValueError(f"edge leaves the given component at {v.label}")
-        take = None
-        while ptr[v] < len(adj[v]):
-            eid, w = adj[v][ptr[v]]
-            if eid in used:
-                ptr[v] += 1
-                continue
-            take = (eid, w)
-            break
-        if take is None:
+        if not inside[v]:
+            raise ValueError(f"edge leaves the given component at {node_vertex(n, v).label}")
+        a = adj[v]
+        p = ptr[v]
+        while p < len(a) and used[a[p][0]]:
+            p += 1
+        ptr[v] = p
+        if p == len(a):
             stack.pop()
-            if entry is not None:
+            if entry >= 0:
                 rev.append(entry)
         else:
-            eid, w = take
-            used.add(eid)
+            eid, w = a[p]
+            used[eid] = True
             stack.append((w, eid))
     if len(rev) != total:
         raise ValueError("component argument is not connected")
@@ -221,27 +232,22 @@ def is_two_edge_connected(g: BipartiteMultigraph) -> bool:
     if g.edge_count == 0:
         return n == 1
 
-    def vid(v: Vertex) -> int:
-        return v.index if v.side == "X" else g.x_count + v.index
-
+    adj = g.node_adj
     disc = [-1] * n
     low = [0] * n
     timer = 0
-    incid = {vid(v): g.incident(v) for v in g.vertices()}
-    # iterative DFS; skip only the edge id we arrived by, so a parallel
-    # companion still gives a back edge
-    stack: list[tuple[int, int, int]] = [(vid(xv(0)), -1, 0)]
-    verts = g.vertices()
+    # iterative DFS over node ids; skip only the edge id we arrived by, so
+    # a parallel companion still gives a back edge
+    stack: list[tuple[int, int, int]] = [(0, -1, 0)]
     while stack:
         v, pedge, i = stack.pop()
         if i == 0:
             disc[v] = low[v] = timer
             timer += 1
         advanced = False
-        lst = incid[v]
+        lst = adj[v]
         while i < len(lst):
-            eid, w0 = lst[i]
-            w = vid(w0)
+            eid, w = lst[i]
             if eid == pedge:
                 i += 1
                 continue

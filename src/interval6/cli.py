@@ -132,6 +132,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
         res = search_proper_path_factor(g, max_nodes=args.max_nodes)
         report["status"] = res.status
         report["nodes"] = res.nodes
+        if res.status == "unknown":
+            report["reason"] = "budget"
         factor = res.factor
     elif args.method == "oracle":
         factor = oracle_path_factor(g)

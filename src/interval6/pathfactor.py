@@ -12,13 +12,18 @@ split the remaining (2,4)-biregular graph into length-2 paths via
 Eulerian parity classes, and stitch pairs of those paths through the
 peeled vertices into length-6 paths. `search_proper_path_factor` and
 `search_full_3regular` are bounded exhaustive searches used when no
-structure is known.
+structure is known. Neither recurses: `search_full_3regular` (like
+`find_y_cover`) runs the explicit-stack exact cover `_exact_cover`, and
+`search_proper_path_factor` grows paths from pivot vertices in one
+explicit-stack loop over integer node ids, counting one node per pivot
+choice and per arm end, and stopping at the node past its cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bigraph import (
     BipartiteMultigraph,
@@ -29,6 +34,7 @@ from .bigraph import (
     delete_y,
     eulerian_circuit,
     is_biregular,
+    node_vertex,
     xv,
     yv,
 )
@@ -463,6 +469,9 @@ def _stitch(g, ti: Path, xi: int, ei: int, u: int, tj: Path, xj: int, ej: int, h
     return Path(tuple(verts), tuple(eids))
 
 
+_PIVOT, _RIGHT, _LEFT = "pivot", "right", "left"  # search steps
+
+
 def search_proper_path_factor(
     g: BipartiteMultigraph,
     max_nodes: int | None = 10_000_000,
@@ -470,111 +479,139 @@ def search_proper_path_factor(
 ) -> SearchResult:
     """Exhaustive factor search by growing paths from pivot vertices.
 
-    Repeatedly picks the lowest uncovered X-vertex and enumerates every
-    path through it (two arms, so the pivot may end up interior), closing
-    only at X-vertices with a total length in `lengths`. `max_nodes`
-    bounds the number of extension steps; running out yields status
-    "unknown", which is distinct from the definitive "none".
+    Repeatedly picks the lowest uncovered X-vertex as the pivot of a new
+    path and enumerates every path through it: first a right arm, and at
+    each X-vertex the right arm reaches, every left arm from the pivot
+    (so the pivot may end up interior). A path closes only at an
+    X-vertex with a total length in `lengths`; once closed, the search
+    goes on to the next pivot if every uncovered Y-vertex still has two
+    distinct uncovered X-neighbors and every uncovered X-vertex an
+    uncovered Y-neighbor. Arms leave a vertex in edge-id order, and a
+    left arm's first edge must not have a lower id than the right arm's,
+    so each pair of arms is tried once.
+
+    The search runs as one loop over an explicit stack (no recursion, so
+    its depth is not bounded by Python's), over integer node ids (X-vertex
+    i is node i, Y-vertex j is node x_count + j) read from
+    `g.node_adj`; `Path` objects are built only for the returned factor.
+    It counts one node per search step: choosing a pivot, and entering a
+    right-arm or left-arm end. `max_nodes` bounds that count; the node
+    past it ends the search with status "unknown" (and `nodes ==
+    max_nodes + 1`), which is distinct from the definitive "none".
     """
     biregular34_k(g)
     allowed = frozenset(lengths)
     if not allowed or not allowed <= set(FACTOR_LENGTHS):
         raise ValueError(f"lengths must be a nonempty subset of {FACTOR_LENGTHS}")
     longest = max(allowed)
+    cap = math.inf if max_nodes is None else max_nodes
 
-    xcov = [False] * g.x_count
-    ycov = [False] * g.y_count
-    committed: list[Path] = []
-    nodes = 0
-
-    def covered(v: Vertex) -> bool:
-        return xcov[v.index] if v.side == "X" else ycov[v.index]
-
-    def set_cover(v: Vertex, val: bool) -> None:
-        if v.side == "X":
-            xcov[v.index] = val
-        else:
-            ycov[v.index] = val
+    n = g.x_count
+    adj = g.node_adj
+    cov = [False] * len(adj)
+    is_cov = cov.__getitem__
+    distinct = [tuple({w for _, w in a}) for a in adj]
 
     def feasible() -> bool:
-        for j in range(g.y_count):
-            if ycov[j]:
-                continue
-            if len({i for _, i in g.y_adj[j] if not xcov[i]}) < 2:
-                return False
-        for i in range(g.x_count):
-            if not xcov[i] and not any(not ycov[j] for _, j in g.x_adj[i]):
-                return False
+        # Every uncovered Y-vertex keeps two distinct uncovered X-neighbors
+        # and every uncovered X-vertex an uncovered Y-neighbor. That held
+        # when the previous path closed (and holds for the empty cover of
+        # a (3,4)-biregular graph), and only the new path's vertices were
+        # covered since, so only their neighbors can have lost it.
+        for arm in (rv, lv):
+            for v in arm:
+                for w in distinct[v]:
+                    if not cov[w]:
+                        d = distinct[w]
+                        if w < n:
+                            if all(map(is_cov, d)):
+                                return False
+                        elif len(d) - sum(map(is_cov, d)) < 2:
+                            return False
         return True
 
-    def tick() -> None:
-        nonlocal nodes
+    # Open paths, closed ones below the one being grown, each as its right
+    # arm (pivot first) and left arm (pivot excluded) with their edge ids.
+    paths: list[tuple[list[int], list[int], list[int], list[int]]] = []
+    rv = re_ = lv = le = None  # the arms of paths[-1]
+    # Open arm ends: (left arm?, node, iterator over its untried edges).
+    frames: list[tuple[bool, int, Iterator[tuple[int, int]]]] = []
+    nodes = 0
+    step = _PIVOT
+    while True:
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise BudgetExceeded(f"factor search stopped after {nodes} nodes")
-
-    def solve() -> bool:
-        tick()
-        pivot = next((i for i in range(g.x_count) if not xcov[i]), None)
-        if pivot is None:
-            return not any(not c for c in ycov)
-        xcov[pivot] = True
-        ok = grow_right(xv(pivot), [xv(pivot)], [])
-        xcov[pivot] = False
-        return ok
-
-    def grow_right(end: Vertex, rv: list[Vertex], re_: list[int]) -> bool:
-        tick()
-        if end.side == "X" and re_:
-            if grow_left(rv[0], [], [], rv, re_):
-                return True
-        if len(re_) < longest:
-            for eid, w in g.incident(end):
-                if not covered(w):
-                    set_cover(w, True)
+        if nodes > cap:
+            return SearchResult("unknown", None, nodes)
+        if step is _PIVOT:
+            pivot = paths[-1][0][0] + 1 if paths else 0  # every X-vertex below it is covered
+            while pivot < n and cov[pivot]:
+                pivot += 1
+            if pivot < n:
+                cov[pivot] = True
+                paths.append(([pivot], [], [], []))
+                rv, re_, lv, le = paths[-1]
+                step, end = _RIGHT, pivot
+                continue
+            if all(cov[n:]):
+                factor = PathFactor(tuple(_as_path(n, *p) for p in paths))
+                assert check_proper_path_factor(g, factor)
+                return SearchResult("found", factor, nodes)
+        elif step is _RIGHT:
+            frames.append((False, end, iter(adj[end] if len(re_) < longest else ())))
+            if end < n and re_:
+                step, end = _LEFT, rv[0]
+                continue
+        else:
+            total = len(le) + len(re_)
+            frames.append((True, end, iter(adj[end] if total < longest else ())))
+            if end < n and total in allowed and feasible():
+                step = _PIVOT
+                continue
+        # back up to the deepest arm end with an untried edge and take it
+        while frames:
+            left, end, edges = frames[-1]
+            if left:
+                for eid, w in edges:
+                    # from the pivot, no edge below the right arm's first: each arm pair once
+                    if not cov[w] and (le or eid >= re_[0]):
+                        cov[w] = True
+                        lv.append(w)
+                        le.append(eid)
+                        step, end = _LEFT, w
+                        break
+                else:
+                    frames.pop()
+                    if le:
+                        le.pop()
+                        lv.pop()
+                        cov[end] = False
+                    continue
+                break
+            for eid, w in edges:
+                if not cov[w]:
+                    cov[w] = True
                     rv.append(w)
                     re_.append(eid)
-                    if grow_right(w, rv, re_):
-                        return True
+                    step, end = _RIGHT, w
+                    break
+            else:
+                frames.pop()
+                cov[end] = False
+                rv.pop()
+                if re_:
                     re_.pop()
-                    rv.pop()
-                    set_cover(w, False)
-        return False
+                else:  # the pivot's own end: no path through this pivot is left
+                    paths.pop()
+                    if paths:
+                        rv, re_, lv, le = paths[-1]
+                continue
+            break
+        else:
+            return SearchResult("none", None, nodes)
 
-    def grow_left(end: Vertex, lv: list[Vertex], le: list[int], rv, re_) -> bool:
-        tick()
-        total = len(le) + len(re_)
-        if end.side == "X" and total in allowed:
-            verts = tuple(reversed(lv)) + tuple(rv)
-            eids = tuple(reversed(le)) + tuple(re_)
-            committed.append(Path(verts, eids))
-            if feasible() and solve():
-                return True
-            committed.pop()
-        if total < longest:
-            for eid, w in g.incident(end):
-                if covered(w):
-                    continue
-                if not le and eid < re_[0]:
-                    continue  # interior pivots: count each arm pair once
-                set_cover(w, True)
-                lv.append(w)
-                le.append(eid)
-                if grow_left(w, lv, le, rv, re_):
-                    return True
-                le.pop()
-                lv.pop()
-                set_cover(w, False)
-        return False
 
-    try:
-        if solve():
-            factor = PathFactor(tuple(committed))
-            assert check_proper_path_factor(g, factor)
-            return SearchResult("found", factor, nodes)
-        return SearchResult("none", None, nodes)
-    except BudgetExceeded:
-        return SearchResult("unknown", None, nodes)
+def _as_path(n: int, rv: list[int], re_: list[int], lv: list[int], le: list[int]) -> Path:
+    return Path(tuple(node_vertex(n, v) for v in lv[::-1] + rv), tuple(le[::-1] + re_))
 
 
 def search_full_3regular(

@@ -121,6 +121,12 @@ def test_eulerian_start_rotation():
     assert walk_is_circuit(g, rotated, range(4))
 
 
+def test_eulerian_rejects_a_component_missing_a_vertex():
+    g = build(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    with pytest.raises(ValueError, match="edge leaves the given component at y0"):
+        eulerian_circuit(g, [xv(0), xv(1), yv(1)])
+
+
 def test_eulerian_rejects_disconnected_vertex_set():
     g = build(2, 2, [(0, 0), (0, 0), (1, 1), (1, 1)])
     with pytest.raises(ValueError):

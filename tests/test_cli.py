@@ -132,6 +132,14 @@ def test_factor_via24_budget_stop(capsys, tmp_path):
     assert code == 0 and json.loads(out)["lengths"] == [6]
 
 
+def test_factor_search_budget_stop_on_a_deep_search(capsys, tmp_path):
+    # thousands of path vertices deep before the cap: once a RecursionError and exit 1
+    gpath = gen_file(capsys, tmp_path, "random", "--k", "300", "--seed", "2")
+    code, out, _ = run(capsys, "factor", "--in", str(gpath), "--max-nodes", "20000")
+    assert code == 2
+    assert json.loads(out) == {"method": "search", "status": "unknown", "reason": "budget", "nodes": 20001}
+
+
 def test_factor_rejects_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, "factor", "--in", str(tmp_path / "missing.json"))
     assert code == 3 and "cannot read graph" in err
