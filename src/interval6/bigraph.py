@@ -144,17 +144,16 @@ def is_simple(g: BipartiteMultigraph) -> bool:
     return len(set(g.edges)) == len(g.edges)
 
 
-def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
-    """Connected components as sorted vertex lists, ordered by smallest vertex.
+def _node_components(adj: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
+    """Connected components of a node-id adjacency, as sorted node lists.
 
-    Isolated vertices form their own singleton components. X-vertices sort
-    before Y-vertices, so the ordering is deterministic.
+    `adj[u]` lists (edge id, other end) pairs, as in
+    BipartiteMultigraph.node_adj. Components are ordered by smallest node,
+    and a node with no edges is its own component.
     """
-    n = g.x_count
-    adj = g.node_adj
     seen = [False] * len(adj)
-    out: list[list[Vertex]] = []
-    for start in range(len(seen)):
+    out: list[list[int]] = []
+    for start in range(len(adj)):
         if seen[start]:
             continue
         seen[start] = True
@@ -165,8 +164,18 @@ def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
                     seen[w] = True
                     comp.append(w)
         comp.sort()
-        out.append([node_vertex(n, v) for v in comp])
+        out.append(comp)
     return out
+
+
+def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
+    """Connected components as sorted vertex lists, ordered by smallest vertex.
+
+    Isolated vertices form their own singleton components. X-vertices sort
+    before Y-vertices, so the ordering is deterministic.
+    """
+    n = g.x_count
+    return [[node_vertex(n, v) for v in comp] for comp in _node_components(g.node_adj)]
 
 
 def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex], start: int = 0) -> list[int]:
@@ -226,13 +235,12 @@ def is_two_edge_connected(g: BipartiteMultigraph) -> bool:
     n = g.x_count + g.y_count
     if n == 0:
         return False
-    comps = components(g)
-    if len(comps) != 1:
+    adj = g.node_adj
+    if len(_node_components(adj)) != 1:
         return False
     if g.edge_count == 0:
         return n == 1
 
-    adj = g.node_adj
     disc = [-1] * n
     low = [0] * n
     timer = 0
@@ -310,14 +318,38 @@ def _strict_int(value, what: str) -> int:
 
 
 def from_dict(d: dict) -> BipartiteMultigraph:
+    """The graph a to_dict() object describes, checking each endpoint once.
+
+    Errors come in build()'s order, except that a non-integer anywhere in
+    the object wins over every count, arity and range error.
+    """
     try:
-        return build(
-            _strict_int(d["x_count"], "x_count"),
-            _strict_int(d["y_count"], "y_count"),
-            [tuple(_strict_int(v, "edge endpoint") for v in e) for e in d["edges"]],
-        )
+        x_count = _strict_int(d["x_count"], "x_count")
+        y_count = _strict_int(d["y_count"], "y_count")
+        edges = []
+        late: ValueError | None = None  # first arity or range error, raised after the type checks
+        for pos, e in enumerate(d["edges"]):
+            pair = tuple(e)
+            if not (len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+                pair = tuple(int(_strict_int(v, "edge endpoint")) for v in pair)
+            if late is not None:
+                continue
+            try:
+                x, y = pair
+            except ValueError as exc:
+                late = exc
+                continue
+            if not (0 <= x < x_count and 0 <= y < y_count):
+                late = ValueError(f"edge {pos} joins ({x}, {y}), outside 0..{x_count - 1} x 0..{y_count - 1}")
+                continue
+            edges.append(pair)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph object: {exc}") from exc
+    if x_count < 0 or y_count < 0:
+        raise ValueError("vertex counts must be nonnegative")
+    if late is not None:
+        raise late
+    return BipartiteMultigraph(x_count, y_count, tuple(edges))
 
 
 def to_json(g: BipartiteMultigraph) -> str:

@@ -2,10 +2,14 @@
 
 Everything a construction can hand back is a certificate: an edge
 coloring, a path factor, or an edge-set subgraph. The checkers here are
-the ground truth the rest of the library (and its tests) verify against,
-so they are written as directly as possible from the definitions and do
-no clever work. One pass over the vertices decides both properness and
-the interval property of an edge coloring.
+the ground truth the rest of the library (and its tests) verify against.
+They run over integer node ids (X-vertex i is node i, Y-vertex j is node
+x_count + j) with flag arrays and per-vertex color bitmasks, and build
+`Vertex` labels only for the messages they return. One pass over the
+edges decides both properness and the interval property of an edge
+coloring. The direct `Vertex`-based readings of the definitions are kept
+as references in tests/test_certify_kernels.py, which checks that both
+give the same answers and messages.
 
 Conventions: a malformed certificate (dangling edge id, vertex out of
 range, partial coloring) raises ValueError; a well-formed certificate
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bigraph import BipartiteMultigraph, Vertex, _strict_int, is_biregular, parse_vertex, xv, yv
+from .bigraph import BipartiteMultigraph, Vertex, _strict_int, is_biregular, node_vertex, parse_vertex
 
 FACTOR_LENGTHS = (2, 4, 6, 8)
 
@@ -84,20 +88,26 @@ def _coloring_scan(
 ) -> tuple[bool, tuple[Vertex, tuple[int, ...]] | None]:
     """(proper, first vertex whose colors are not consecutive, with its colors).
 
-    One pass over the vertices, stopping at the first color clash; the gap
-    is only meaningful when the coloring is proper.
+    One pass over the edges keeps a color bitmask per vertex and stops at
+    the first color clash (a bit already set); the gap, searched in
+    X-then-Y vertex order, is only meaningful when the coloring is proper.
     """
     _validate_coloring(g, coloring)
-    colors = coloring.colors
-    gap = None
-    for side, adj in (("X", g.x_adj), ("Y", g.y_adj)):
-        for index, incident in enumerate(adj):
-            cols = sorted(colors[eid] for eid, _ in incident)
-            if len(set(cols)) != len(cols):
-                return False, None
-            if gap is None and cols and cols[-1] - cols[0] != len(cols) - 1:
-                gap = Vertex(side, index), tuple(cols)
-    return True, gap
+    xmask = [0] * g.x_count
+    ymask = [0] * g.y_count
+    for (x, y), c in zip(g.edges, coloring.colors):
+        bit = 1 << c
+        mx, my = xmask[x], ymask[y]
+        if (mx | my) & bit:
+            return False, None
+        xmask[x] = mx | bit
+        ymask[y] = my | bit
+    for side, masks, adj in (("X", xmask, g.x_adj), ("Y", ymask, g.y_adj)):
+        for index, m in enumerate(masks):
+            if ((m | (m - 1)) + 1) & m:  # set bits are not one run
+                cols = tuple(sorted(coloring.colors[eid] for eid, _ in adj[index]))
+                return True, (Vertex(side, index), cols)
+    return True, None
 
 
 def check_proper(g: BipartiteMultigraph, coloring: EdgeColoring) -> bool:
@@ -123,18 +133,6 @@ def check_interval(g: BipartiteMultigraph, coloring: EdgeColoring) -> bool:
     return interval_violation(g, coloring) is None
 
 
-def _validate_path_structure(g: BipartiteMultigraph, p: Path) -> None:
-    if len(p.vertices) != len(p.edges) + 1:
-        raise ValueError(f"path has {len(p.vertices)} vertices but {len(p.edges)} edges")
-    for v in p.vertices:
-        limit = g.x_count if v.side == "X" else g.y_count
-        if v.side not in ("X", "Y") or not (0 <= v.index < limit):
-            raise ValueError(f"path mentions unknown vertex {v!r}")
-    for eid in p.edges:
-        if not (0 <= eid < g.edge_count):
-            raise ValueError(f"path references edge {eid}, graph has {g.edge_count}")
-
-
 def path_factor_violation(g: BipartiteMultigraph, factor: PathFactor) -> str | None:
     """Why `factor` is not a proper path factor of g, or None if it is one.
 
@@ -142,32 +140,52 @@ def path_factor_violation(g: BipartiteMultigraph, factor: PathFactor) -> str | N
     stated vertices, no vertex repeats), every path has both endpoints on
     the X side with length in {2,4,6,8}, the paths are pairwise
     vertex-disjoint, edge-disjoint, and together cover every vertex.
+    A path with a vertex count that does not match its edges, an unknown
+    vertex or an edge id outside the graph raises ValueError.
     """
-    seen_vertices: set[Vertex] = set()
-    seen_edges: set[int] = set()
+    n, ny, m = g.x_count, g.y_count, g.edge_count
+    graph_edges = g.edges
+    seen_nodes = bytearray(n + ny)  # node ids: X-vertex i is i, Y-vertex j is n + j
+    seen_edges = bytearray(m)
+    covered = 0
     for pi, p in enumerate(factor.paths):
-        _validate_path_structure(g, p)
-        if p.length not in FACTOR_LENGTHS:
-            return f"path {pi} has length {p.length}, allowed {FACTOR_LENGTHS}"
-        if p.vertices[0].side != "X" or p.vertices[-1].side != "X":
+        verts, eids = p.vertices, p.edges
+        if len(verts) != len(eids) + 1:
+            raise ValueError(f"path has {len(verts)} vertices but {len(eids)} edges")
+        nodes = []
+        for v in verts:
+            side, index = v
+            if side == "X" and 0 <= index < n:
+                nodes.append(index)
+            elif side == "Y" and 0 <= index < ny:
+                nodes.append(n + index)
+            else:
+                raise ValueError(f"path mentions unknown vertex {v!r}")
+        for eid in eids:
+            if not (0 <= eid < m):
+                raise ValueError(f"path references edge {eid}, graph has {m}")
+        if len(eids) not in FACTOR_LENGTHS:
+            return f"path {pi} has length {len(eids)}, allowed {FACTOR_LENGTHS}"
+        if nodes[0] >= n or nodes[-1] >= n:
             return f"path {pi} does not have both endpoints on the X side"
-        if len(set(p.vertices)) != len(p.vertices):
+        if len(set(nodes)) != len(nodes):
             return f"path {pi} repeats a vertex"
-        for i, eid in enumerate(p.edges):
-            a, b = p.vertices[i], p.vertices[i + 1]
-            x, y = g.edges[eid]
-            if {a, b} != {xv(x), yv(y)}:
-                return f"path {pi}: edge {eid} joins x{x},y{y}, not {a.label},{b.label}"
-            if eid in seen_edges:
+        for i, eid in enumerate(eids):
+            x, y = graph_edges[eid]
+            a, b = nodes[i], nodes[i + 1]
+            if not ((a == x and b == n + y) or (b == x and a == n + y)):
+                return f"path {pi}: edge {eid} joins x{x},y{y}, not {verts[i].label},{verts[i + 1].label}"
+            if seen_edges[eid]:
                 return f"edge {eid} used twice"
-            seen_edges.add(eid)
-        for v in p.vertices:
-            if v in seen_vertices:
-                return f"vertex {v.label} lies on two paths"
-            seen_vertices.add(v)
-    uncovered = [v for v in g.vertices() if v not in seen_vertices]
-    if uncovered:
-        return f"vertices not covered: {', '.join(v.label for v in uncovered[:8])}"
+            seen_edges[eid] = 1
+        for i, u in enumerate(nodes):
+            if seen_nodes[u]:
+                return f"vertex {verts[i].label} lies on two paths"
+            seen_nodes[u] = 1
+        covered += len(nodes)
+    if covered < len(seen_nodes):
+        uncovered = [node_vertex(n, u).label for u, s in enumerate(seen_nodes) if not s]
+        return f"vertices not covered: {', '.join(uncovered[:8])}"
     return None
 
 

@@ -15,7 +15,7 @@ import random
 from itertools import combinations
 
 from . import bigraph
-from .bigraph import BipartiteMultigraph, build, is_simple, xv, yv
+from .bigraph import BipartiteMultigraph, build, xv, yv
 from .checker import Path, PathFactor, check_proper_path_factor
 
 # Explicit path factor of the subset graph: five alternating runs of
@@ -167,10 +167,13 @@ def random_34_biregular(k: int, seed: int, simple_only: bool = True) -> Bipartit
     y_stubs = [j for j in range(3 * k) for _ in range(4)]
     for _ in range(10_000):
         rng.shuffle(y_stubs)
-        edges = [(s // 3, y_stubs[s]) for s in range(12 * k)]
-        g = build(4 * k, 3 * k, edges)
-        if not simple_only or is_simple(g):
-            return g
+        # X-vertex i takes stubs 3i..3i+2, so a parallel edge is a repeat
+        # among three consecutive Y-stubs; only an accepted draw is built
+        if simple_only and any(
+            a == b or a == c or b == c for a, b, c in zip(y_stubs[0::3], y_stubs[1::3], y_stubs[2::3])
+        ):
+            continue
+        return build(4 * k, 3 * k, [(s // 3, y_stubs[s]) for s in range(12 * k)])
     raise ValueError(f"no simple sample found for k={k}, seed={seed} in 10000 draws")
 
 

@@ -28,6 +28,7 @@ from typing import Iterator, NamedTuple
 from .bigraph import (
     BipartiteMultigraph,
     Vertex,
+    _node_components,
     biregular34_k,
     build,
     components,
@@ -120,64 +121,62 @@ def _factor_or_raise(g: BipartiteMultigraph, factor: PathFactor) -> None:
 
 
 def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
-    """Split the off-factor edges into even cycles and X-to-X paths."""
+    """Split the off-factor edges into even cycles and X-to-X paths.
+
+    Components come in order of their smallest vertex; a cycle is walked
+    from its smallest vertex and a path from its smaller endpoint, always
+    along the lowest unused edge id.
+    """
     biregular34_k(g)
     _factor_or_raise(g, factor)
-    on_factor = factor.edge_ids()
-    adj: dict[Vertex, list[tuple[int, Vertex]]] = {v: [] for v in g.vertices()}
+    n = g.x_count
+    on_factor = bytearray(g.edge_count)
+    for p in factor.paths:
+        for eid in p.edges:
+            on_factor[eid] = 1
+    # leftover edges at every node id, as (edge id, other end) in edge-id order
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + g.y_count)]
     for eid, (x, y) in enumerate(g.edges):
-        if eid in on_factor:
-            continue
-        adj[xv(x)].append((eid, yv(y)))
-        adj[yv(y)].append((eid, xv(x)))
+        if not on_factor[eid]:
+            adj[x].append((eid, n + y))
+            adj[n + y].append((eid, x))
+    used = bytearray(g.edge_count)
 
-    def walk(start: Vertex, used: set[int]) -> tuple[list[Vertex], list[int]]:
-        verts, eids = [start], []
+    def walk(start: int) -> tuple[list[int], list[int]]:
+        nodes, eids = [start], []
         cur = start
         while True:
-            step = next(((eid, w) for eid, w in adj[cur] if eid not in used), None)
-            if step is None:
-                return verts, eids
-            used.add(step[0])
-            eids.append(step[0])
-            verts.append(step[1])
-            cur = step[1]
+            for eid, w in adj[cur]:
+                if not used[eid]:
+                    break
+            else:
+                return nodes, eids
+            used[eid] = 1
+            eids.append(eid)
+            nodes.append(w)
+            cur = w
+
+    def vertices(nodes: list[int]) -> list[Vertex]:
+        return [node_vertex(n, u) for u in nodes]
 
     cycles: list[tuple[int, ...]] = []
     paths: list[Path] = []
-    visited: set[Vertex] = set()
-    used: set[int] = set()
-    for v0 in g.vertices():
-        if v0 in visited:
-            continue
-        # gather the component of v0 in the leftover graph
-        comp = [v0]
-        visited.add(v0)
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            for _, w in adj[v]:
-                if w not in visited:
-                    visited.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        degs = {v: len(adj[v]) for v in comp}
-        if any(d == 0 for d in degs.values()):
-            raise InvariantError(f"leftover graph has an isolated vertex in {sorted(comp)}")
-        ones = sorted(v for v, d in degs.items() if d == 1)
+    for comp in _node_components(adj):
+        if any(not adj[u] for u in comp):
+            raise InvariantError(f"leftover graph has an isolated vertex in {vertices(comp)}")
+        ones = [u for u in comp if len(adj[u]) == 1]
         if not ones:
-            start = min(comp)
-            verts, eids = walk(start, used)
-            if verts[0] != verts[-1] or len(eids) % 2:
+            nodes, eids = walk(comp[0])
+            if nodes[0] != nodes[-1] or len(eids) % 2:
                 raise InvariantError("leftover component is not an even closed walk")
             cycles.append(tuple(eids))
         else:
-            if len(ones) != 2 or any(v.side != "X" for v in ones):
-                raise InvariantError(f"leftover path must join two X-vertices, got {ones}")
-            verts, eids = walk(ones[0], used)
-            if verts[-1] != ones[1]:
+            if len(ones) != 2 or any(u >= n for u in ones):
+                raise InvariantError(f"leftover path must join two X-vertices, got {vertices(ones)}")
+            nodes, eids = walk(ones[0])
+            if nodes[-1] != ones[1]:
                 raise InvariantError("leftover path walk did not reach the other endpoint")
-            paths.append(Path(tuple(verts), tuple(eids)))
+            paths.append(Path(tuple(vertices(nodes)), tuple(eids)))
     return QDecomposition(tuple(cycles), tuple(paths))
 
 

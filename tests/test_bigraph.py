@@ -199,6 +199,62 @@ def test_from_json_rejects_non_integers():
         bigraph.from_json('{"x_count": 2.0, "y_count": 1, "edges": []}')
 
 
+def reference_from_dict(d):
+    """The loader that type-checked every endpoint and then ran build(), kept as the reference."""
+    try:
+        return build(
+            bigraph._strict_int(d["x_count"], "x_count"),
+            bigraph._strict_int(d["y_count"], "y_count"),
+            [tuple(bigraph._strict_int(v, "edge endpoint") for v in e) for e in d["edges"]],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed graph object: {exc}") from exc
+
+
+MALFORMED_GRAPHS = [
+    {"x_count": 2, "y_count": 1, "edges": [[0, 0], [1, 0]]},  # well formed
+    {"x_count": 2, "y_count": 1, "edges": []},
+    {"x_count": 2, "y_count": 1, "edges": [[0, 0.5]]},
+    {"x_count": 2, "y_count": 1, "edges": [[True, 0]]},
+    {"x_count": 2, "y_count": 1, "edges": [["1", 0]]},
+    {"x_count": 2, "y_count": 1, "edges": [[None, 0]]},
+    {"x_count": 2, "y_count": 1, "edges": [[2, 0]]},
+    {"x_count": 2, "y_count": 1, "edges": [[0, -1]]},
+    {"x_count": 2, "y_count": 1, "edges": [[0, 0, 0]]},
+    {"x_count": 2, "y_count": 1, "edges": [[0]]},
+    {"x_count": 2, "y_count": 1, "edges": [[]]},
+    {"x_count": 2, "y_count": 1, "edges": [0]},
+    {"x_count": 2, "y_count": 1, "edges": ["01"]},
+    {"x_count": 2, "y_count": 1, "edges": 3},
+    {"x_count": 2, "y_count": 1, "edges": [[5, 0], [0, 0, 0], [1, "a"]]},  # type error wins
+    {"x_count": 2, "y_count": 1, "edges": [[5, 0], [0, 0, 0]]},  # first of range, arity
+    {"x_count": 2, "y_count": 1, "edges": [[0, 0, 0], [5, 0]]},
+    {"x_count": -1, "y_count": 1, "edges": [[0, 0, 0]]},  # counts before edges
+    {"x_count": -1, "y_count": 1, "edges": [[0, 0.5]]},  # type error before counts
+    {"x_count": 2, "y_count": -3, "edges": []},
+    {"x_count": 2.0, "y_count": 1, "edges": []},
+    {"x_count": 2, "y_count": False, "edges": []},
+    {"x_count": 2, "y_count": 1},
+    {"x_count": 2, "edges": []},
+    {"y_count": 1, "edges": [[0, 0.5]]},
+    [2, 1, []],
+    None,
+]
+
+
+def test_from_dict_matches_reference_on_malformed_input():
+    for d in MALFORMED_GRAPHS:
+        try:
+            want = ("ok", reference_from_dict(d))
+        except ValueError as exc:
+            want = ("ValueError", str(exc))
+        try:
+            got = ("ok", bigraph.from_dict(d))
+        except ValueError as exc:
+            got = ("ValueError", str(exc))
+        assert got == want, d
+
+
 def test_dot_output_draws_parallel_edges_separately():
     g = build(1, 1, [(0, 0), (0, 0)])
     dot = bigraph.to_dot(g)

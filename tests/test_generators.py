@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from interval6.bigraph import biregular34_k, is_simple, is_two_edge_connected
+from interval6.bigraph import build, biregular34_k, is_simple, is_two_edge_connected
 from interval6.checker import check_proper_path_factor
 from interval6.generators import (
     claw_triple_graph,
@@ -70,6 +70,27 @@ def test_random_biregular_properties():
         assert is_simple(g)
         h = random_34_biregular(k, seed=rng.randrange(10**9), simple_only=False)
         assert biregular34_k(h) == k
+
+
+def reference_random_34_biregular(k: int, seed: int, simple_only: bool = True):
+    """The generator loop that built and tested every draw, kept as the reference."""
+    rng = random.Random(seed)
+    y_stubs = [j for j in range(3 * k) for _ in range(4)]
+    for _ in range(10_000):
+        rng.shuffle(y_stubs)
+        edges = [(s // 3, y_stubs[s]) for s in range(12 * k)]
+        g = build(4 * k, 3 * k, edges)
+        if not simple_only or is_simple(g):
+            return g
+    raise ValueError(f"no simple sample found for k={k}, seed={seed} in 10000 draws")
+
+
+def test_random_biregular_matches_reference():
+    for k in range(1, 7):
+        for seed in range(100):
+            for simple in (True, False):
+                want = reference_random_34_biregular(k, seed, simple_only=simple)
+                assert random_34_biregular(k, seed, simple_only=simple) == want
 
 
 def test_random_biregular_k1_simple_is_complete():
