@@ -109,7 +109,7 @@ class BipartiteMultigraph:
 
 
 def build(x_count: int, y_count: int, edges: Sequence[tuple[int, int]]) -> BipartiteMultigraph:
-    """Build a graph, validating every endpoint index.
+    """Build a graph, checking that every endpoint is an int (not a bool) in range.
 
     Edge ids are the positions in `edges`; the list is kept as given.
     """
@@ -118,15 +118,23 @@ def build(x_count: int, y_count: int, edges: Sequence[tuple[int, int]]) -> Bipar
     clean = []
     for pos, pair in enumerate(edges):
         x, y = pair
+        if type(x) is not int or type(y) is not int:  # the common case skips both calls
+            _strict_int(x, "edge endpoint")
+            _strict_int(y, "edge endpoint")
         if not (0 <= x < x_count and 0 <= y < y_count):
             raise ValueError(f"edge {pos} joins ({x}, {y}), outside 0..{x_count - 1} x 0..{y_count - 1}")
-        clean.append((int(x), int(y)))
+        clean.append((x, y))
     return BipartiteMultigraph(x_count, y_count, tuple(clean))
 
 
 def is_biregular(g: BipartiteMultigraph, a: int, b: int) -> bool:
-    """True when every X-vertex has degree a and every Y-vertex degree b."""
-    return all(len(adj) == a for adj in g.x_adj) and all(len(adj) == b for adj in g.y_adj)
+    """True when every X-vertex has degree a and every Y-vertex degree b (counted over g.edges)."""
+    xdeg = [0] * g.x_count
+    ydeg = [0] * g.y_count
+    for x, y in g.edges:
+        xdeg[x] += 1
+        ydeg[y] += 1
+    return xdeg.count(a) == g.x_count and ydeg.count(b) == g.y_count
 
 
 def biregular34_k(g: BipartiteMultigraph) -> int:

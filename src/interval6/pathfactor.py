@@ -10,7 +10,10 @@ The second half finds factors. `p7_factor_via_24` is the constructive
 route: peel off a set of Y-vertices whose neighborhoods exactly cover X,
 split the remaining (2,4)-biregular graph into length-2 paths via
 Eulerian parity classes, and stitch pairs of those paths through the
-peeled vertices into length-6 paths. `search_proper_path_factor` and
+peeled vertices into length-6 paths. It runs once, with no retries: a
+parity class of an Euler circuit gives every degree-2 vertex degree 1,
+so the two paths a peeled vertex joins are always distinct.
+`search_proper_path_factor` and
 `search_full_3regular` are bounded exhaustive searches used when no
 structure is known. Neither recurses: `search_full_3regular` (like
 `find_y_cover`) runs the explicit-stack exact cover `_exact_cover`, and
@@ -76,23 +79,6 @@ class PGraph:
 
     vertices: tuple[int, ...]
     edges: tuple[PEdge, ...]
-
-    def neighbors(self, u: int) -> list[tuple[int, str]]:
-        out = []
-        for e in self.edges:
-            if e.u == u:
-                out.append((e.v, e.kind))
-            elif e.v == u:
-                out.append((e.u, e.kind))
-        return out
-
-
-@dataclass
-class TwoColoring:
-    assignment: dict[int, str]  # X-side vertex index -> "A" | "B"
-
-    def __getitem__(self, u: int) -> str:
-        return self.assignment[u]
 
 
 @dataclass(frozen=True)
@@ -212,8 +198,12 @@ def _pgraph_from_q(factor: PathFactor, qd: QDecomposition) -> PGraph:
     return pg
 
 
-def two_color_pgraph(pg: PGraph) -> TwoColoring:
-    """Proper 2-coloring A/B of the link graph (BFS, lowest root gets A)."""
+def two_color_pgraph(pg: PGraph) -> dict[int, str]:
+    """Proper 2-coloring of the link graph, X-vertex index -> "A" | "B".
+
+    Breadth first from the lowest uncolored vertex, which gets A; a
+    bipartite component has exactly one such coloring.
+    """
     color: dict[int, str] = {}
     adj: dict[int, list[int]] = {u: [] for u in pg.vertices}
     for e in pg.edges:
@@ -224,26 +214,25 @@ def two_color_pgraph(pg: PGraph) -> TwoColoring:
             continue
         color[root] = "A"
         queue = [root]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # breadth first: the queue only grows
             for w in adj[u]:
                 if w not in color:
                     color[w] = "B" if color[u] == "A" else "A"
                     queue.append(w)
                 elif color[w] == color[u]:
                     raise InvariantError(f"odd cycle in link graph at x{u}, x{w}")
-    return TwoColoring(color)
+    return color
 
 
-def p3_half_factor(h: BipartiteMultigraph, parity: int = 0, start: int = 0) -> HalfFactor:
+def p3_half_factor(h: BipartiteMultigraph, parity: int = 0) -> HalfFactor:
     """One parity class of per-component Eulerian circuits of a (2,4)-biregular graph.
 
-    Each component of h has an even number of edges; the circuit
-    alternates around it and the edges at even (parity=0) or odd
-    (parity=1) positions give every X-vertex degree 1 and every Y-vertex
-    degree 2, i.e. a disjoint union of length-2 paths covering h. Both
-    parity classes together partition the edges. `start` rotates the
-    circuit's starting vertex (used by retry logic upstream).
+    The graph is bipartite, so each component's circuit has even length
+    and every visit to a vertex enters at one parity and leaves at the
+    other. The edges at even (parity=0) or odd (parity=1) positions
+    therefore give every X-vertex degree 1 and every Y-vertex degree 2,
+    i.e. a disjoint union of length-2 paths with distinct ends covering
+    h. Both parity classes together partition the edges.
     """
     if parity not in (0, 1):
         raise ValueError("parity is 0 or 1")
@@ -251,7 +240,7 @@ def p3_half_factor(h: BipartiteMultigraph, parity: int = 0, start: int = 0) -> H
         raise ValueError("graph is not (2,4)-biregular")
     chosen: set[int] = set()
     for comp in components(h):
-        circuit = eulerian_circuit(h, comp, start=start)
+        circuit = eulerian_circuit(h, comp)
         chosen.update(circuit[parity::2])
 
     xdeg = [0] * h.x_count
@@ -365,11 +354,6 @@ def find_y_cover(g: BipartiteMultigraph, max_nodes: int | None = None) -> tuple[
     return _exact_cover(g.x_count, cands, max_nodes=max_nodes)
 
 
-def _degenerate(hf: HalfFactor) -> bool:
-    # both edges of some center landing on one contracted endpoint
-    return any(p.vertices[0] == p.vertices[2] for p in hf.paths)
-
-
 def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> PathFactor | None:
     """All-lengths-6 factor via Y-cover peeling, or None when no cover exists.
 
@@ -378,94 +362,53 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     vertices (every X-vertex keeps exactly one edge into the cover), take
     a half factor of that contracted (2,4)-biregular graph, and expand
     each of its length-2 paths back into a length-6 path T_i - u - T_j.
-
-    If a contracted half factor ever came out degenerate (both edges of
-    some cover vertex on one contracted point) the construction retries
-    with the opposite parity class and then with rotated circuit starts
-    before giving up. A valid half factor cannot actually be degenerate
-    (each contracted point has degree exactly 1 in it), so the retries
-    are a safety net rather than an expected code path. `max_nodes` is
-    passed to find_y_cover, whose BudgetExceeded propagates.
+    Every contracted point has degree 1 in that half factor, so T_i and
+    T_j always differ and one pass suffices. `max_nodes` is passed to
+    find_y_cover, whose BudgetExceeded propagates.
     """
     biregular34_k(g)
     cover = find_y_cover(g, max_nodes=max_nodes)
     if cover is None:
         return None
     h, h_edges, h_ys = delete_y(g, cover)
-    assert is_biregular(h, 2, 4)
     base = p3_half_factor(h)
 
-    # which length-2 path each X-vertex ends, and the cover edge it keeps
+    # per X-vertex x: the index of the half-factor path T that x ends, and
+    # T in g's ids, oriented to end at x
     t_of_x: dict[int, int] = {}
+    arm: dict[int, tuple[list[Vertex], list[int]]] = {}
     for ti, p in enumerate(base.paths):
-        t_of_x[p.vertices[0].index] = ti
-        t_of_x[p.vertices[2].index] = ti
+        a, y, b = p.vertices
+        ea, eb = (h_edges[e] for e in p.edges)
+        mid = yv(h_ys[y.index])
+        t_of_x[a.index] = t_of_x[b.index] = ti
+        arm[a.index] = ([b, mid, a], [eb, ea])
+        arm[b.index] = ([a, mid, b], [ea, eb])
     cover_sorted = sorted(cover)
     cover_index = {j: jj for jj, j in enumerate(cover_sorted)}
-    cover_set = set(cover_sorted)
-    contact: list[tuple[int, int, int]] = []  # (x, g_eid, cover position) per X-vertex
+    contact: list[tuple[int, int]] = []  # (g edge id, cover position) per X-vertex
     for x in range(g.x_count):
-        into = [(eid, j) for eid, j in g.x_adj[x] if j in cover_set]
+        into = [(eid, cover_index[j]) for eid, j in g.x_adj[x] if j in cover_index]
         if len(into) != 1:
             raise InvariantError(f"x{x} has {len(into)} edges into the cover")
-        contact.append((x, into[0][0], cover_index[into[0][1]]))
+        contact.append(into[0])
 
-    contracted = build(
-        len(base.paths),
-        len(cover_sorted),
-        [(t_of_x[x], cj) for x, _, cj in contact],
-    )
-    # contracted edge id == x index, by construction above
-    rotations = 1 + max(len(c) for c in components(contracted))
-    attempts = [(p, s) for s in range(rotations) for p in (0, 1)]
-    for parity, start in attempts:
-        try:
-            top = p3_half_factor(contracted, parity=parity, start=start)
-        except InvariantError:
-            continue
-        if _degenerate(top):
-            continue
-        factor = _assemble_via24(g, base, h_edges, h_ys, cover_sorted, contact, top)
-        if factor is not None:
-            return factor
-    return None
-
-
-def _assemble_via24(g, base, h_edges, h_ys, cover_sorted, contact, top) -> PathFactor | None:
+    # contracted edge id == X-vertex index of g
+    pairs = [(t_of_x[x], cj) for x, (_, cj) in enumerate(contact)]
+    contracted = build(len(base.paths), len(cover_sorted), pairs)
     paths = []
-    for p in top.paths:
-        u = cover_sorted[p.vertices[1].index]
-        # contracted edge ids are X-vertex indices of g
-        x_i = p.edges[0]
-        x_j = p.edges[1]
-        ti = base.paths[p.vertices[0].index]
-        tj = base.paths[p.vertices[2].index]
-        paths.append(_stitch(g, ti, x_i, contact[x_i][1], u, tj, x_j, contact[x_j][1], h_edges, h_ys))
+    for p in p3_half_factor(contracted).paths:
+        x_i, x_j = p.edges
+        (vi, ei), (vj, ej) = arm[x_i], arm[x_j]
+        u = yv(cover_sorted[p.vertices[1].index])
+        verts = vi + [u] + vj[::-1]
+        eids = ei + [contact[x_i][0], contact[x_j][0]] + ej[::-1]
+        paths.append(Path(tuple(verts), tuple(eids)))
     factor = PathFactor(tuple(paths))
-    if check_proper_path_factor(g, factor):
-        return factor
-    return None
-
-
-def _stitch(g, ti: Path, xi: int, ei: int, u: int, tj: Path, xj: int, ej: int, h_edges, h_ys) -> Path:
-    """Length-6 path: far end of ti, through u, to the far end of tj."""
-
-    def orient(t: Path, contact_x: int, contact_last: bool) -> tuple[list[Vertex], list[int]]:
-        a, y, b = t.vertices
-        e1, e2 = (h_edges[e] for e in t.edges)
-        verts = [a, yv(h_ys[y.index]), b]
-        eids = [e1, e2]
-        at_end = verts[-1].index == contact_x
-        if at_end != contact_last:
-            verts.reverse()
-            eids.reverse()
-        return verts, eids
-
-    vi, eidsi = orient(ti, xi, contact_last=True)
-    vj, eidsj = orient(tj, xj, contact_last=False)
-    verts = vi + [yv(u)] + vj
-    eids = eidsi + [ei, ej] + eidsj
-    return Path(tuple(verts), tuple(eids))
+    why = path_factor_violation(g, factor)
+    if why is not None:
+        raise InvariantError(f"via24 construction failed: {why}")
+    return factor
 
 
 _PIVOT, _RIGHT, _LEFT = "pivot", "right", "left"  # search steps

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .bigraph import BipartiteMultigraph, biregular34_k, xv, yv
+from .bigraph import BipartiteMultigraph, _node_components, biregular34_k, xv, yv
 from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, path_factor_violation
 from .errors import InvariantError
 
@@ -135,28 +135,12 @@ def _check_partition(f: FGraph, ts: TripleSystem) -> None:
 def fstar_components(f: FGraph, ts: TripleSystem) -> tuple[tuple[int, ...], ...]:
     """Components of F plus a triangle on each triple, as sorted vertex tuples."""
     _check_partition(f, ts)
-    parent = list(range(f.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for e in f.edges:
-        union(e.u, e.v)
-    for t in ts.triples:
-        union(t[0], t[1])
-        union(t[0], t[2])
-    groups: dict[int, list[int]] = {}
-    for y in range(f.n):
-        groups.setdefault(find(y), []).append(y)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(f.n)]
+    links = [(e.u, e.v) for e in f.edges] + [(t[0], t[i]) for t in ts.triples for i in (1, 2)]
+    for a, b in links:
+        adj[a].append((-1, b))  # _node_components ignores the edge id
+        adj[b].append((-1, a))
+    return tuple(map(tuple, _node_components(adj)))
 
 
 def _gaps(cyc: tuple[int, ...], members: set[int]) -> list[tuple[int, int]] | None:
@@ -433,11 +417,6 @@ def build_f(
     return f, TripleSystem(triples)
 
 
-def _x0_vertices(g: BipartiteMultigraph, cert: SubgraphCertificate) -> list[int]:
-    inside = {g.edges[eid][0] for eid in cert.edge_set}
-    return [x for x in range(g.x_count) if x not in inside]
-
-
 def factor_from_mixed_transversal(
     g: BipartiteMultigraph,
     cert: SubgraphCertificate,
@@ -466,7 +445,9 @@ def factor_from_mixed_transversal(
             return None
     _validate_mixed(f, ts, mixed)
 
-    x0s = _x0_vertices(g, cert)
+    # X-vertices outside the subgraph, ascending: x0s[i] is the one whose neighborhood is triple i
+    inside = {e.mid_x for e in f.edges}
+    x0s = [x for x in range(g.x_count) if x not in inside]
     trip_eid: dict[tuple[int, int], int] = {}
     for x in x0s:
         for eid, j in g.x_adj[x]:

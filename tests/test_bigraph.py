@@ -48,6 +48,13 @@ def test_build_rejects_bad_endpoints():
         build(2, 2, [(0, 0), (2, 1)])
     with pytest.raises(ValueError):
         build(2, 2, [(0, -1)])
+    # non-integer endpoints are rejected, not truncated
+    with pytest.raises(ValueError, match="integer"):
+        build(2, 2, [(0.5, 1), (True, 0)])
+    with pytest.raises(ValueError, match="integer"):
+        build(2, 2, [(0, 1), (True, 0)])
+    with pytest.raises(ValueError, match="integer"):
+        build(2, 2, [(1, 0.0)])
 
 
 def test_adjacency_and_degrees():

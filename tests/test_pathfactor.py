@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -5,7 +7,8 @@ import pytest
 from helpers import random_24_biregular, random_cover_admitting
 
 from interval6.bigraph import build, delete_y, is_biregular
-from interval6.checker import check_proper_path_factor
+from interval6.checker import check_proper_path_factor, factor_to_dict
+from interval6.coloring import color_from_factor
 from interval6.errors import InvariantError
 from interval6.generators import claw_triple_graph, eight_triples_graph, subset_graph_6
 from interval6.oracle import oracle_full_3regular, oracle_path_factor
@@ -33,6 +36,11 @@ def interior_x(factor):
         for i in range(2, p.length - 1, 2):
             out.add(p.vertices[i].index)
     return out
+
+
+def link_kinds(pg, u):
+    """Kinds of the link edges at u."""
+    return [e.kind for e in pg.edges if u in (e.u, e.v)]
 
 
 def test_build_q_degrees_and_shapes():
@@ -75,7 +83,7 @@ def test_pgraph_subset_graph_counts():
     assert kinds.count("b") == 0
     assert kinds.count("c") == 5
     for u in pg.vertices:
-        ks = [k for _, k in pg.neighbors(u)]
+        ks = link_kinds(pg, u)
         assert ks.count("c") == 1
         assert ks.count("a") + ks.count("b") <= 1
 
@@ -92,7 +100,7 @@ def test_pgraph_on_random_cover_instances():
         pg = build_pgraph(g, res.factor)
         assert set(pg.vertices) == interior_x(res.factor)
         for u in pg.vertices:
-            ks = [k for _, k in pg.neighbors(u)]
+            ks = link_kinds(pg, u)
             assert ks.count("c") == 1
     assert hits >= 15
 
@@ -101,11 +109,11 @@ def test_two_color_pgraph_proper():
     g, factor = subset_graph_6()
     pg = build_pgraph(g, factor)
     side = two_color_pgraph(pg)
-    assert set(side.assignment) == set(pg.vertices)
+    assert set(side) == set(pg.vertices)
     for e in pg.edges:
         assert side[e.u] != side[e.v]
     # deterministic and rooted at the smallest vertex of each component
-    assert two_color_pgraph(pg).assignment == side.assignment
+    assert two_color_pgraph(pg) == side
     assert side[min(pg.vertices)] == "A"
 
 
@@ -210,6 +218,20 @@ def test_via24_on_random_cover_instances():
         assert check_proper_path_factor(g, factor)
         assert all(p.length == 6 for p in factor.paths)
         assert len(factor.paths) == g.x_count // 4
+
+
+def test_via24_certificates_pinned():
+    # sha256 of the factors and colorings that the via24 pipeline with its
+    # old parity x rotation retry ladder produced on these graphs (k up to
+    # 40, multigraphs included); the one-pass pipeline must match it.
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        g = random_cover_admitting(rng.randrange(1, 41), rng)
+        factor = p7_factor_via_24(g)
+        digest.update(json.dumps(factor_to_dict(factor), sort_keys=True).encode())
+        digest.update(bytes(color_from_factor(g, factor).colors))
+    assert digest.hexdigest() == "593ca66ecdde7849651cf589b0c1ea1f0397d4c0fd90b3c0502e131e6bac727a"
 
 
 def test_search_finds_subset_graph_factor():

@@ -265,6 +265,60 @@ def test_fstar_components_split_and_join():
         (0, 1, 2, 3, 4, 5),)
 
 
+def fstar_components_union_find(f, ts):
+    """The union-find fstar_components used before it ran on the shared
+    component routine, kept verbatim as the reference."""
+    parent = list(range(f.n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for e in f.edges:
+        union(e.u, e.v)
+    for t in ts.triples:
+        union(t[0], t[1])
+        union(t[0], t[2])
+    groups: dict[int, list[int]] = {}
+    for y in range(f.n):
+        groups.setdefault(find(y), []).append(y)
+    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+
+
+def test_fstar_components_match_union_find():
+    # Blocks of 3..12 vertices, each with its own permutation and triples,
+    # under one random relabelling: several components, interleaved labels.
+    rng = random.Random(24)
+    sizes = set()
+    for _ in range(300):
+        blocks = [3 * rng.randrange(1, 5) for _ in range(rng.randrange(1, 6))]
+        n = sum(blocks)
+        label = list(range(n))
+        rng.shuffle(label)
+        fedges, triples, base = [], [], 0
+        for size in blocks:
+            block = permutation_fgraph(size, rng)
+            fedges += [FEdge(label[base + e.u], label[base + e.v]) for e in block.edges]
+            order = [label[base + y] for y in range(size)]
+            rng.shuffle(order)
+            triples += [tuple(sorted(order[i:i + 3])) for i in range(0, size, 3)]
+            base += size
+        f, ts = FGraph(n, tuple(fedges)), TripleSystem(tuple(triples))
+        got = fstar_components(f, ts)
+        assert got == fstar_components_union_find(f, ts)
+        sizes.add(len(got))
+    assert len(sizes) > 3  # split and joined structures both occur
+    for f, ts in (independent_obstruction(12), spread_obstruction(8), no_mixed_transversal_instance()):
+        assert fstar_components(f, ts) == fstar_components_union_find(f, ts)
+
+
 def test_build_f_on_claw():
     g = claw_triple_graph()
     cert = search_full_3regular(g)
