@@ -102,9 +102,10 @@ def _coloring_scan(
             return False, None
         xmask[x] = mx | bit
         ymask[y] = my | bit
-    for side, masks, adj in (("X", xmask, g.x_adj), ("Y", ymask, g.y_adj)):
+    for side, masks in (("X", xmask), ("Y", ymask)):
         for index, m in enumerate(masks):
             if ((m | (m - 1)) + 1) & m:  # set bits are not one run
+                adj = g.x_adj if side == "X" else g.y_adj  # built only when a gap shows
                 cols = tuple(sorted(coloring.colors[eid] for eid, _ in adj[index]))
                 return True, (Vertex(side, index), cols)
     return True, None

@@ -364,9 +364,9 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     each of its length-2 paths back into a length-6 path T_i - u - T_j.
     Every contracted point has degree 1 in that half factor, so T_i and
     T_j always differ and one pass suffices. `max_nodes` is passed to
-    find_y_cover, whose BudgetExceeded propagates.
+    find_y_cover, whose BudgetExceeded propagates (as does its ValueError
+    on a graph that is not (3,4)-biregular).
     """
-    biregular34_k(g)
     cover = find_y_cover(g, max_nodes=max_nodes)
     if cover is None:
         return None

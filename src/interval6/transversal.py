@@ -195,84 +195,157 @@ def _f_neighbors(f: FGraph) -> tuple[dict[int, set[int]], set[int]]:
     return nbrs, looped
 
 
+CLOSED = 4  # added to a chosen triple's live count: above any open one's 0..3
+
+
 def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict[int, int] | None:
     """Complete backtracking for an independent transversal of the given triples.
 
     A vertex carrying a loop can never be chosen: its loop makes it
     adjacent to itself. That convention extends the construction to
     multigraph-derived instances, where loops arise from parallel edges.
+
+    Forward checking on an explicit stack (no recursion), after Haralick
+    and Elliott (1980): `ban[y]` counts the chosen members F-adjacent to
+    y, and `live[s]` the unbanned, unlooped members of the s-th triple in
+    ascending index order, changed only when a ban count leaves or
+    returns to 0; `wiped` counts the open triples left with none. A
+    chosen triple's count carries CLOSED on top, so each node branches
+    on the first triple with the lowest `live`: the open triple with the
+    fewest live members, the lowest triple index on a tie. Its live
+    members are tried in triple order, and a choice that wipes out an
+    open triple is undone at once.
     """
     nbrs, looped = _f_neighbors(f)
-    domains = {i: [y for y in ts.triples[i] if y not in looped] for i in idxs}
+    nb = [tuple(nbrs[y]) for y in range(f.n)]  # at most 2 each: F is 2-regular
+    order = sorted(idxs)
+    domains = [[y for y in ts.triples[i] if y not in looped] for i in order]
+    slot_of = [-1] * f.n  # slot of the triple holding a domain vertex
+    for s, dom in enumerate(domains):
+        for y in dom:
+            slot_of[y] = s
+    live = [len(dom) for dom in domains]
+    wiped = live.count(0)
+    ban = [0] * f.n
+    slots = range(len(order))
     chosen: dict[int, int] = {}
 
-    def options(i: int) -> list[int]:
-        banned = set()
-        for m in chosen.values():
-            banned |= nbrs[m]
-        return [y for y in domains[i] if y not in banned]
-
-    def go() -> bool:
-        todo = [i for i in idxs if i not in chosen]
-        if not todo:
-            return True
-        i = min(todo, key=lambda j: (len(options(j)), j))
-        for y in options(i):
-            chosen[i] = y
-            if go():
-                return True
-            del chosen[i]
-        return False
-
-    return dict(chosen) if go() else None
+    stack: list[list] = []  # per depth: [slot, live members on entry, members tried]
+    while True:
+        s = min(slots, key=live.__getitem__, default=None)
+        if s is None or live[s] >= CLOSED:
+            return chosen
+        stack.append([s, [y for y in domains[s] if not ban[y]], 0])
+        while stack:
+            frame = stack[-1]
+            s, opts, tried = frame
+            if tried:  # undo the previous try
+                live[s] -= CLOSED
+                for z in nb[chosen.pop(order[s])]:
+                    ban[z] -= 1
+                    t = slot_of[z]
+                    if not ban[z] and t >= 0:
+                        live[t] += 1
+                        wiped -= live[t] == 1
+            if tried < len(opts):
+                y = opts[tried]
+                frame[2] = tried + 1
+                chosen[order[s]] = y
+                live[s] += CLOSED
+                for z in nb[y]:
+                    ban[z] += 1
+                    t = slot_of[z]
+                    if ban[z] == 1 and t >= 0:
+                        live[t] -= 1
+                        wiped += not live[t]
+                if not wiped:
+                    break
+            else:
+                stack.pop()
+        else:
+            return None
 
 
 def _spread_for(
     f: FGraph, ts: TripleSystem, idxs: tuple[int, ...], comp: set[int]
 ) -> dict[int, int] | None:
-    """Complete backtracking for a spread transversal of one component."""
+    """Complete backtracking for a spread transversal of one component.
+
+    Triples are taken in ascending order and their members in triple
+    order, on an explicit stack (no recursion). After each choice the
+    partial transversal must stay feasible: every F-cycle of the
+    component can still get a member and close its gaps over 3 from the
+    open triples on it, and the open triples cover the summed need. Each
+    cycle's need (None when it cannot be met) is cached with a running
+    total, and choosing or undoing triple i recomputes only the cycles
+    holding a vertex of i, the only ones whose members or open triples
+    change. A full assignment must pass `_spread_violation`.
+    """
     cycles = [c for c in f.cycles if c[0] in comp]
     if len(cycles) > len(idxs):
         return None  # each cycle needs a member and triples give one each
+    triple_of = ts.triple_of
+    cycle_of = {y: c for c, cyc in enumerate(cycles) for y in cyc}
+    touched = {i: sorted({cycle_of[y] for y in ts.triples[i]}) for i in idxs}
+    members: set[int] = set()
     chosen: dict[int, int] = {}
 
-    def feasible() -> bool:
-        members = set(chosen.values())
-        open_triples = {i for i in idxs if i not in chosen}
-        total_need = 0
-        for cyc in cycles:
-            gaps = _gaps(cyc, members)
-            if gaps is None:
-                pots = {ts.triple_of[y] for y in cyc if ts.triple_of[y] in open_triples}
-                if not pots:
-                    return False
-                total_need += math.ceil(len(cyc) / 4)
+    def need_of(cyc: tuple[int, ...]) -> int | None:
+        """Members still needed on `cyc` from its open triples, None if too few."""
+        gaps = _gaps(cyc, members)
+        if gaps is None:
+            if all(triple_of[y] in chosen for y in cyc):
+                return None
+            return math.ceil(len(cyc) / 4)
+        total = 0
+        for start, gap in gaps:
+            if gap <= 3:
                 continue
-            for start, gap in gaps:
-                if gap <= 3:
-                    continue
-                arc = [cyc[t % len(cyc)] for t in range(start, start + gap)]
-                pots = {ts.triple_of[y] for y in arc if ts.triple_of[y] in open_triples}
-                need = math.ceil((gap - 3) / 4)
-                if len(pots) < need:
-                    return False
-                total_need += need
-        return total_need <= len(open_triples)
+            arc = [cyc[t % len(cyc)] for t in range(start, start + gap)]
+            pots = {triple_of[y] for y in arc if triple_of[y] not in chosen}
+            need = math.ceil((gap - 3) / 4)
+            if len(pots) < need:
+                return None
+            total += need
+        return total
+
+    needs = [need_of(cyc) for cyc in cycles]
+    blocked = sum(n is None for n in needs)
+    total_need = sum(n for n in needs if n is not None)
+
+    def refresh(i: int) -> None:
+        nonlocal blocked, total_need
+        for c in touched[i]:
+            old, new = needs[c], need_of(cycles[c])
+            needs[c] = new
+            blocked += (new is None) - (old is None)
+            total_need += (new or 0) - (old or 0)
 
     order = sorted(idxs)
-
-    def go(at: int) -> bool:
+    tried = [0] * len(order)  # members of order[at] tried so far, per depth
+    at = 0
+    while at >= 0:
         if at == len(order):
-            return _spread_violation(cycles, set(chosen.values())) is None
+            if _spread_violation(cycles, members) is None:
+                return chosen
+            at -= 1
+            continue
         i = order[at]
-        for y in ts.triples[i]:
-            chosen[i] = y
-            if feasible() and go(at + 1):
-                return True
-            del chosen[i]
-        return False
-
-    return dict(chosen) if go(0) else None
+        if tried[at]:  # undo the previous try
+            members.discard(chosen.pop(i))
+            refresh(i)
+        if tried[at] == 3:
+            tried[at] = 0
+            at -= 1
+            continue
+        y = ts.triples[i][tried[at]]
+        tried[at] += 1
+        chosen[i] = y
+        members.add(y)
+        refresh(i)
+        if not blocked and total_need <= len(order) - len(chosen):
+            at += 1
+    return None
 
 
 def find_independent_transversal(f: FGraph, ts: TripleSystem) -> tuple[int, ...] | None:

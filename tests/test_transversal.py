@@ -1,7 +1,10 @@
 """Tests for the transversal route to proper path-factors."""
 
+import hashlib
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 from helpers import random_core_admitting
@@ -18,6 +21,11 @@ from interval6.generators import (
 )
 from interval6.pathfactor import search_full_3regular
 from interval6.transversal import (
+    _f_neighbors,
+    _gaps,
+    _independent_for,
+    _spread_for,
+    _spread_violation,
     FEdge,
     FGraph,
     MixedTransversal,
@@ -451,3 +459,167 @@ def test_forced_spread_part_is_rejected_exactly_when_not_spread():
             with pytest.raises(ValueError, match="not spread"):
                 factor_from_mixed_transversal(g, cert, mixed=forced)
     assert outcomes == {True, False}
+
+
+def independent_for_recursive(f, ts, idxs):
+    """The recursive `_independent_for` the explicit-stack search replaced,
+    kept verbatim as the reference whose answers it must reproduce."""
+    nbrs, looped = _f_neighbors(f)
+    domains = {i: [y for y in ts.triples[i] if y not in looped] for i in idxs}
+    chosen: dict[int, int] = {}
+
+    def options(i: int) -> list[int]:
+        banned = set()
+        for m in chosen.values():
+            banned |= nbrs[m]
+        return [y for y in domains[i] if y not in banned]
+
+    def go() -> bool:
+        todo = [i for i in idxs if i not in chosen]
+        if not todo:
+            return True
+        i = min(todo, key=lambda j: (len(options(j)), j))
+        for y in options(i):
+            chosen[i] = y
+            if go():
+                return True
+            del chosen[i]
+        return False
+
+    return dict(chosen) if go() else None
+
+
+def spread_for_recursive(f, ts, idxs, comp):
+    """The recursive `_spread_for` the explicit-stack search replaced,
+    kept verbatim as the reference whose answers it must reproduce."""
+    cycles = [c for c in f.cycles if c[0] in comp]
+    if len(cycles) > len(idxs):
+        return None  # each cycle needs a member and triples give one each
+    chosen: dict[int, int] = {}
+
+    def feasible() -> bool:
+        members = set(chosen.values())
+        open_triples = {i for i in idxs if i not in chosen}
+        total_need = 0
+        for cyc in cycles:
+            gaps = _gaps(cyc, members)
+            if gaps is None:
+                pots = {ts.triple_of[y] for y in cyc if ts.triple_of[y] in open_triples}
+                if not pots:
+                    return False
+                total_need += math.ceil(len(cyc) / 4)
+                continue
+            for start, gap in gaps:
+                if gap <= 3:
+                    continue
+                arc = [cyc[t % len(cyc)] for t in range(start, start + gap)]
+                pots = {ts.triple_of[y] for y in arc if ts.triple_of[y] in open_triples}
+                need = math.ceil((gap - 3) / 4)
+                if len(pots) < need:
+                    return False
+                total_need += need
+        return total_need <= len(open_triples)
+
+    order = sorted(idxs)
+
+    def go(at: int) -> bool:
+        if at == len(order):
+            return _spread_violation(cycles, set(chosen.values())) is None
+        i = order[at]
+        for y in ts.triples[i]:
+            chosen[i] = y
+            if feasible() and go(at + 1):
+                return True
+            del chosen[i]
+        return False
+
+    return dict(chosen) if go(0) else None
+
+
+def assert_searches_match_reference(f, ts):
+    """Both searches agree with their references on the full index set and
+    on every F* component; returns the (independent, spread) outcomes seen."""
+    runs = {tuple(range(len(ts.triples))): set(range(f.n))}
+    for comp in fstar_components(f, ts):
+        runs[tuple(sorted({ts.triple_of[y] for y in comp}))] = set(comp)
+    seen = set()
+    for idxs, comp in runs.items():
+        got = _independent_for(f, ts, idxs)
+        assert got == independent_for_recursive(f, ts, idxs)
+        spread = _spread_for(f, ts, idxs, comp)
+        assert spread == spread_for_recursive(f, ts, idxs, comp)
+        seen.add((got is not None, spread is not None))
+    return seen
+
+
+def test_searches_match_reference_on_shipped_structures():
+    for k in range(6, 31, 6):
+        assert_searches_match_reference(*independent_obstruction(k))
+    for k in range(2, 21, 2):
+        assert_searches_match_reference(*spread_obstruction(k))
+    assert assert_searches_match_reference(*no_mixed_transversal_instance()) == {(False, False)}
+
+
+def test_searches_match_reference_on_random_structures():
+    # A permutation F-graph on 3m vertices (loops and 2-cycles occur at
+    # these sizes) under a random partition into triples.
+    rng = random.Random(25)
+    seen, loops, twos = set(), 0, 0
+    for _ in range(300):
+        m = rng.randrange(1, 11)
+        f = permutation_fgraph(3 * m, rng)
+        order = list(range(3 * m))
+        rng.shuffle(order)
+        ts = TripleSystem(tuple(tuple(sorted(order[i:i + 3])) for i in range(0, 3 * m, 3)))
+        seen |= assert_searches_match_reference(f, ts)
+        loops += any(len(c) == 1 for c in f.cycles)
+        twos += any(len(c) == 2 for c in f.cycles)
+    assert {ind for ind, _ in seen} == {spread for _, spread in seen} == {True, False}
+    assert loops and twos
+
+
+def test_searches_match_reference_on_built_link_structures():
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(60):
+        g = random_core_admitting(rng.randrange(2, 13), rng)
+        seen |= assert_searches_match_reference(*build_f(g, search_full_3regular(g)))
+    assert {ind for ind, _ in seen} == {spread for _, spread in seen} == {True, False}
+
+
+def test_mixed_transversals_pinned_on_core_pool(monkeypatch):
+    # sha256 of find_mixed_transversal's members and parts over the first
+    # 12 rounds of the benchmark's seed-7 transversal_core pool (48 planted
+    # cores at k=20/30 and 12 shipped link structures), computed with the
+    # recursive searches.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    from interval6.bigraph import from_json
+
+    digest = hashlib.sha256()
+    for inst in workloads.build_pool("transversal_core", 7, rounds=12):
+        if inst.pipeline is workloads.run_links:
+            n, fedges, triples, _ = inst.args
+            f = FGraph(n, tuple(FEdge(u, v) for u, v in fedges))
+            ts = TripleSystem(triples)
+        else:
+            g = from_json(inst.args[0])
+            f, ts = build_f(g, search_full_3regular(g, max_nodes=workloads.CORE_MAX_NODES))
+        mixed = find_mixed_transversal(f, ts)
+        digest.update(repr(mixed and (mixed.members, [tuple(p) for p in mixed.parts])).encode() + b"\n")
+    assert digest.hexdigest() == "4ba81a642cb261952a74398a1693f29456a32d2411658f16b8417a0778319293"
+
+
+def test_independent_search_does_not_recurse():
+    """1200 triples: the recursive search raised RecursionError here (after
+    about 25 s), one frame per chosen triple."""
+    f, ts = spread_obstruction(1200)
+    assert find_independent_transversal(f, ts) == tuple(t[0] for t in ts.triples)
+
+
+def test_spread_search_does_not_recurse():
+    """1200 triples: the recursive search raised RecursionError here, one
+    frame per chosen triple."""
+    f, ts = independent_obstruction(1200)
+    got = find_spread_transversal(f, ts)
+    assert got is not None and is_spread(f, got)
