@@ -38,7 +38,9 @@ def yv(j: int) -> Vertex:
     return Vertex("Y", j)
 
 
-_LABEL_RE = re.compile(r"^([xy])(\d+)$")
+# A label is its vertex's one spelling: ASCII digits (\d also takes other
+# scripts' digits) with no leading zero, so "x01" does not alias x1.
+_LABEL_RE = re.compile(r"([xy])(0|[1-9][0-9]*)")
 
 
 def node_vertex(x_count: int, node: int) -> Vertex:
@@ -47,7 +49,7 @@ def node_vertex(x_count: int, node: int) -> Vertex:
 
 
 def parse_vertex(label: str) -> Vertex:
-    m = _LABEL_RE.match(label)
+    m = _LABEL_RE.fullmatch(label)  # the whole label, so "x1\n" fails
     if not m:
         raise ValueError(f"bad vertex label {label!r}")
     return Vertex(m.group(1).upper(), int(m.group(2)))

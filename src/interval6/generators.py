@@ -186,6 +186,9 @@ def independent_obstruction(k: int = 12) -> tuple["FGraph", "TripleSystem"]:
     elements on k/3 three-cycles, so any independent set has at most one
     vertex per cycle: k/2 + k/3 < k picks. Spread transversals still
     exist, since the cycle count is below k and all cycles are short.
+    Every cycle is a clique of F*, so the independent search refutes
+    the structure by this same count (Hall's condition) before it
+    branches, in time polynomial in k.
     """
     from .transversal import FEdge, FGraph, TripleSystem
 
@@ -251,6 +254,10 @@ def no_mixed_transversal_instance() -> tuple["FGraph", "TripleSystem"]:
     so one case must apply globally: spread fails since the 22 cycles
     outnumber the 20 triples, and independence fails because the 11
     triples confined to the first part have only 10 cycles to sit on.
+    Both searches refute it by these counts without branching: the
+    spread one by its cycle count, the independent one by Hall's
+    condition (ten triples whose members lie only on the nine clique
+    cycles of the first part).
     """
     from .transversal import FEdge, FGraph, TripleSystem
 

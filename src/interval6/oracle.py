@@ -182,25 +182,29 @@ def oracle_interval_coloring(g: BipartiteMultigraph, palette: int) -> EdgeColori
             return False
         return max(got + [c]) - min(got + [c]) <= deg - 1
 
-    def go(eid: int) -> bool:
-        if eid == len(g.edges):
-            return True
+    # Explicit stack (no recursion): the depth is the edge id, and
+    # colors[eid] holds the color being tried there, 0 before the first.
+    eid = 0
+    while 0 <= eid < len(g.edges):
         x, y = g.edges[eid]
         kx, ky = ("X", x), ("Y", y)
         dx, dy = len(g.x_adj[x]), len(g.y_adj[y])
-        for c in range(1, palette + 1):
-            if fits(kx, c, dx) and fits(ky, c, dy):
-                colors[eid] = c
-                at[kx].append(c)
-                at[ky].append(c)
-                if go(eid + 1):
-                    return True
-                at[ky].pop()
-                at[kx].pop()
-                colors[eid] = 0
-        return False
-
-    if not go(0):
+        c = colors[eid]
+        if c:  # undo the previous try
+            at[ky].pop()
+            at[kx].pop()
+        c += 1
+        while c <= palette and not (fits(kx, c, dx) and fits(ky, c, dy)):
+            c += 1
+        if c <= palette:
+            colors[eid] = c
+            at[kx].append(c)
+            at[ky].append(c)
+            eid += 1
+        else:
+            colors[eid] = 0
+            eid -= 1
+    if eid < 0:
         return None
     out = EdgeColoring(tuple(colors), palette)
     assert check_proper(g, out) and check_interval(g, out)

@@ -13,6 +13,15 @@ Picking one vertex per triple (a transversal) that is independent in F,
 or spread along its cycles, or a per-component mix of the two, yields a
 proper path factor. Color 1 doubles as the perfect matching M used to
 cap paths in both constructions.
+
+Before searching for an independent transversal, `_hall_refutes`
+checks Hall's marriage condition (P. Hall, 1935) between the triples
+and the F-cycles that are cliques of F* (F plus a triangle on each
+triple). An independent transversal puts at most one member on each,
+so the triples whose members all lie on such cycles need distinct
+ones; when no matching provides that, none exists. That refutes the
+shipped obstructions in polynomial time, where the search alone would
+exhaust a tree exponential in the number of triples.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .bigraph import BipartiteMultigraph, _node_components, biregular34_k, xv, yv
@@ -195,6 +205,50 @@ def _f_neighbors(f: FGraph) -> tuple[dict[int, set[int]], set[int]]:
     return nbrs, looped
 
 
+def _hall_refutes(
+    f: FGraph, ts: TripleSystem, domains: list[list[int]], nbrs: dict[int, set[int]]
+) -> bool:
+    """True when the triples with unlooped members `domains` have no
+    independent transversal, by Hall's condition on cliques of F*.
+
+    The cliques are the F-cycles through the members whose vertices are
+    pairwise F-adjacent or share a triple: every 2- and 3-cycle, and
+    4-cycles like those of `independent_obstruction`. An independent
+    transversal puts at most one member on each, so the triples whose
+    members all lie on such cycles need distinct cycles, each holding a
+    member of theirs. When a maximum matching from those triples to the
+    cycles leaves one out, no independent transversal exists. (Other
+    cycles add nothing: split into one 2-clique per F-edge, each member
+    on them could take the edge leaving it, which no other member can.)
+    """
+    triple_of = ts.triple_of
+    clique_of: dict[int, int] = {}  # member of a clique cycle -> the cycle's first vertex
+    walked = bytearray(f.n)
+    for dom in domains:
+        for y in dom:
+            if walked[y]:
+                continue
+            cyc = [y]
+            w = f.out_edge(y).v
+            while w != y:
+                cyc.append(w)
+                w = f.out_edge(w).v
+            for w in cyc:
+                walked[w] = 1
+            # a vertex has at most 2 F-neighbors and 2 triple mates, so no clique exceeds 5
+            if len(cyc) <= 5 and all(
+                b in nbrs[a] or triple_of[a] == triple_of[b] for a, b in combinations(cyc, 2)
+            ):
+                for w in cyc:
+                    clique_of[w] = y
+    rem = {
+        s: [(q, q) for q in dict.fromkeys(clique_of[y] for y in dom)]
+        for s, dom in enumerate(domains)
+        if all(y in clique_of for y in dom)
+    }
+    return len(_kuhn_round(list(rem), rem)) < len(rem)
+
+
 CLOSED = 4  # added to a chosen triple's live count: above any open one's 0..3
 
 
@@ -204,6 +258,15 @@ def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict
     A vertex carrying a loop can never be chosen: its loop makes it
     adjacent to itself. That convention extends the construction to
     multigraph-derived instances, where loops arise from parallel edges.
+
+    The search runs only when `_hall_refutes` cannot rule the triples
+    out: those whose members all lie on F-cycles that are cliques of F*
+    need distinct such cycles, since an independent transversal holds
+    at most one member per clique. The
+    check is polynomial and never rejects a solvable instance, so the
+    search below returns the same first solution with or without it,
+    while the shipped obstructions, whose refutation by search grows
+    exponentially with the number of triples, are answered at once.
 
     Forward checking on an explicit stack (no recursion), after Haralick
     and Elliott (1980): `ban[y]` counts the chosen members F-adjacent to
@@ -220,6 +283,8 @@ def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict
     nb = [tuple(nbrs[y]) for y in range(f.n)]  # at most 2 each: F is 2-regular
     order = sorted(idxs)
     domains = [[y for y in ts.triples[i] if y not in looped] for i in order]
+    if _hall_refutes(f, ts, domains, nbrs):
+        return None
     slot_of = [-1] * f.n  # slot of the triple holding a domain vertex
     for s, dom in enumerate(domains):
         for y in dom:
@@ -386,23 +451,48 @@ def find_mixed_transversal(f: FGraph, ts: TripleSystem) -> MixedTransversal | No
 
 
 def _kuhn_round(xs: list[int], rem: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
-    """Maximum matching (x -> chosen edge id) by augmenting paths."""
-    match_y: dict[int, tuple[int, int]] = {}  # y -> (x, eid)
+    """Matching (x -> chosen edge id) saturating `xs`, by augmenting paths.
+
+    Each x in turn runs a depth-first search for an augmenting path,
+    trying its (edge id, y) options in `rem` order, on an explicit stack
+    (no recursion, so path length sets no depth limit). When some x has
+    no augmenting path, no matching saturates `xs` (its symmetric
+    difference with a saturating one would hold such a path), so the
+    partial matching is returned at once.
+    """
+    owner: dict[int, int] = {}  # matched y -> its x
     pair_x: dict[int, int] = {}
-
-    def augment(x: int, banned: set[int]) -> bool:
-        for eid, y in rem[x]:
-            if y in banned:
+    for root in xs:
+        opts = rem[root]
+        if opts and opts[0][1] not in owner:  # the search would take it at once; most roots do
+            eid, y = opts[0]
+            owner[y] = root
+            pair_x[root] = eid
+            continue
+        banned: set[int] = set()
+        stack = [[root, 0]]  # per depth: x, and its next option (one past the last taken)
+        while stack:
+            frame = stack[-1]
+            x, pos = frame
+            opts = rem[x]
+            while pos < len(opts) and opts[pos][1] in banned:
+                pos += 1
+            if pos == len(opts):
+                stack.pop()
                 continue
+            frame[1] = pos + 1
+            y = opts[pos][1]
             banned.add(y)
-            if y not in match_y or augment(match_y[y][0], banned):
-                match_y[y] = (x, eid)
+            if y in owner:
+                stack.append([owner[y], 0])
+                continue
+            for x, pos in stack:  # augment: each x on the path takes the option it last took
+                eid, y = rem[x][pos - 1]
+                owner[y] = x
                 pair_x[x] = eid
-                return True
-        return False
-
-    for x in xs:
-        augment(x, set())
+            break
+        else:
+            return pair_x
     return pair_x
 
 

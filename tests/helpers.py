@@ -1,6 +1,8 @@
 """Random instance builders shared by several test modules."""
 
 import random
+import sys
+from contextlib import contextmanager
 
 from interval6.bigraph import BipartiteMultigraph, build
 
@@ -43,3 +45,22 @@ def random_core_admitting(k: int, rng: random.Random) -> BipartiteMultigraph:
         for y in order[3 * i : 3 * i + 3]:
             edges.append((3 * k + i, y))
     return build(4 * k, 3 * k, edges)
+
+
+@contextmanager
+def recursion_limit(n: int):
+    """Run the block with room for at most `n` Python frames above the
+    caller's own depth, so any recursion that grows with input size fails
+    at once rather than only on huge inputs. The old limit comes back on
+    exit."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -88,6 +88,15 @@ def test_vertex_labels_round_trip():
         parse_vertex("z1")
 
 
+def test_vertex_labels_reject_near_misses():
+    # Each of these names x1 only loosely: a trailing newline, non-ASCII
+    # digits (Arabic-Indic one, fullwidth one), a leading zero.
+    for bad in ("x1\n", "x\u0661", "x\uff11", "x01", " x1", "x1 ", "X1", "x", "1", "x-1", "x+1", ""):
+        with pytest.raises(ValueError, match="bad vertex label"):
+            parse_vertex(bad)
+    assert parse_vertex("x0") == xv(0) and parse_vertex("y1234") == yv(1234)
+
+
 def test_components_ordering_and_isolated_vertices():
     # two disjoint edges plus an isolated X and an isolated Y vertex
     g = build(3, 3, [(0, 1), (2, 0)])

@@ -288,3 +288,18 @@ def test_export_plain_and_colored(capsys, tmp_path):
     bad.write_text(json.dumps({"palette_size": 6, "colors": [1, 2, 3]}))
     code, _, err = run(capsys, "export", "--in", str(gpath), "--coloring", str(bad))
     assert code == 3 and "coloring covers" in err
+
+
+def test_verify_rejects_malformed_vertex_labels(capsys, tmp_path):
+    gpath = tmp_path / "g.json"
+    fpath = tmp_path / "f.json"
+    run(capsys, "gen", "--family", "subset6", "--out", str(gpath), "--factor-out", str(fpath))
+    good = json.loads(fpath.read_text())
+    first = good["paths"][0][0]
+    for bad in (first + "\n", first[0] + "\u0661" * len(first[1:])):
+        broken = json.loads(fpath.read_text())
+        broken["paths"][0][0] = bad
+        bpath = tmp_path / "bad.json"
+        bpath.write_text(json.dumps(broken))
+        code, out, err = run(capsys, "verify", "--in", str(gpath), "--factor", str(bpath))
+        assert code == 3 and "bad vertex label" in err and out == ""

@@ -4,10 +4,11 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
-from helpers import random_core_admitting
+from helpers import random_core_admitting, recursion_limit
 
 from interval6.bigraph import build
 from interval6.checker import check_full_3regular, check_proper_path_factor
@@ -23,7 +24,9 @@ from interval6.pathfactor import search_full_3regular
 from interval6.transversal import (
     _f_neighbors,
     _gaps,
+    _hall_refutes,
     _independent_for,
+    _kuhn_round,
     _spread_for,
     _spread_violation,
     FEdge,
@@ -623,3 +626,167 @@ def test_spread_search_does_not_recurse():
     f, ts = independent_obstruction(1200)
     got = find_spread_transversal(f, ts)
     assert got is not None and is_spread(f, got)
+
+
+def hall_refutes_for(f, ts, idxs):
+    """`_hall_refutes` on the triples `idxs`, set up as `_independent_for` does."""
+    nbrs, looped = _f_neighbors(f)
+    domains = [[y for y in ts.triples[i] if y not in looped] for i in sorted(idxs)]
+    return _hall_refutes(f, ts, domains, nbrs)
+
+
+def index_sets(f, ts):
+    """The full triple index set and that of every F* component."""
+    runs = [tuple(range(len(ts.triples)))]
+    for comp in fstar_components(f, ts):
+        runs.append(tuple(sorted({ts.triple_of[y] for y in comp})))
+    return runs
+
+
+def test_hall_check_refutes_only_unsolvable_triples():
+    # The 300 seeded permutation structures of the reference test above
+    # (m <= 10, loops and 2-cycles included), then the shipped obstructions
+    # and spread structures: wherever the check refutes, the recursive
+    # reference search finds nothing either.
+    rng = random.Random(25)
+    structures = []
+    for _ in range(300):
+        m = rng.randrange(1, 11)
+        f = permutation_fgraph(3 * m, rng)
+        order = list(range(3 * m))
+        rng.shuffle(order)
+        structures.append((f, TripleSystem(tuple(tuple(sorted(order[i:i + 3])) for i in range(0, 3 * m, 3)))))
+    structures += [independent_obstruction(k) for k in range(6, 31, 6)]
+    structures += [spread_obstruction(k) for k in range(2, 21, 2)]
+    structures.append(no_mixed_transversal_instance())
+    outcomes = set()
+    for f, ts in structures:
+        for idxs in index_sets(f, ts):
+            refuted = hall_refutes_for(f, ts, idxs)
+            if refuted:
+                assert independent_for_recursive(f, ts, idxs) is None
+            outcomes.add(refuted)
+    assert outcomes == {True, False}
+
+
+def test_hall_check_refutes_the_shipped_obstructions():
+    for k in range(6, 61, 6):
+        f, ts = independent_obstruction(k)
+        assert hall_refutes_for(f, ts, range(k))
+    f, ts = no_mixed_transversal_instance()
+    (comp,) = fstar_components(f, ts)
+    assert hall_refutes_for(f, ts, {ts.triple_of[y] for y in comp})
+    for k in range(2, 21, 2):
+        f, ts = spread_obstruction(k)
+        assert not hall_refutes_for(f, ts, range(k))
+
+
+def timed(call, *args):
+    t0 = time.perf_counter()
+    got = call(*args)
+    return got, time.perf_counter() - t0
+
+
+def test_independent_obstruction_refuted_at_scale():
+    """3000 triples: exhausting the search tree took 19.9 s at 60 triples
+    and grows about 18-fold per 12 more."""
+    f, ts = independent_obstruction(3000)
+    with recursion_limit(60):
+        got, dt = timed(find_independent_transversal, f, ts)
+    assert got is None and dt < 1.0
+
+
+def test_mixed_transversal_decided_at_scale():
+    # independent_obstruction(600) has no independent transversal but a
+    # spread one; the mixed search must reach the spread case quickly.
+    f, ts = independent_obstruction(600)
+    with recursion_limit(60):
+        got, dt = timed(find_mixed_transversal, f, ts)
+    assert dt < 1.0
+    assert [p.case for p in got.parts] == ["spread"] and is_spread(f, got.members)
+    with recursion_limit(60):
+        got, dt = timed(find_mixed_transversal, *no_mixed_transversal_instance())
+    assert got is None and dt < 1.0
+
+
+def kuhn_round_recursive(xs, rem):
+    """The recursive `_kuhn_round` the explicit-stack matching replaced,
+    kept verbatim as the reference whose matchings it must reproduce."""
+    match_y: dict[int, tuple[int, int]] = {}  # y -> (x, eid)
+    pair_x: dict[int, int] = {}
+
+    def augment(x: int, banned: set[int]) -> bool:
+        for eid, y in rem[x]:
+            if y in banned:
+                continue
+            banned.add(y)
+            if y not in match_y or augment(match_y[y][0], banned):
+                match_y[y] = (x, eid)
+                pair_x[x] = eid
+                return True
+        return False
+
+    for x in xs:
+        augment(x, set())
+    return pair_x
+
+
+def random_3regular_rem(n, rng):
+    """Option lists of a configuration-model 3-regular bipartite multigraph
+    on n + n vertices, in the shape `proper_3_edge_color` builds."""
+    y_stubs = [j for j in range(n) for _ in range(3)]
+    rng.shuffle(y_stubs)
+    rem = {}
+    for eid, y in enumerate(y_stubs):
+        rem.setdefault(eid // 3, []).append((eid, y))
+    return rem
+
+
+def test_kuhn_round_matches_recursive_on_random_cores():
+    # Both rounds of proper_3_edge_color's peeling, as it runs them.
+    rng = random.Random(27)
+    for _ in range(200):
+        rem = random_3regular_rem(rng.randrange(1, 40), rng)
+        xs = sorted(rem)
+        for _ in (1, 2):
+            got = _kuhn_round(xs, rem)
+            assert got == kuhn_round_recursive(xs, rem) and len(got) == len(xs)
+            rem = {x: [(e, y) for e, y in rem[x] if e != got[x]] for x in xs}
+
+
+def test_three_edge_coloring_pinned_to_recursive_matching(monkeypatch):
+    rng = random.Random(28)
+    cores = [random_core_admitting(rng.randrange(2, 31), rng) for _ in range(20)]
+    certs = [search_full_3regular(g) for g in cores]
+    got = [proper_3_edge_color(g, c.edge_set) for g, c in zip(cores, certs)]
+    monkeypatch.setattr("interval6.transversal._kuhn_round", kuhn_round_recursive)
+    assert got == [proper_3_edge_color(g, c.edge_set) for g, c in zip(cores, certs)]
+
+
+def staircase_rem(n):
+    """x_i owns y_i first and falls back to y_(i-1); x_0 falls back to the
+    spare y_n, and a last x_(n+1) wants only y_(n-1). Matching x_(n+1)
+    takes one augmenting path through all n earlier x-vertices."""
+    rem = {i: [(2 * i, i), (2 * i + 1, i - 1 if i else n)] for i in range(n)}
+    rem[n + 1] = [(2 * n + 2, n - 1)]
+    return rem
+
+
+def test_kuhn_round_does_not_recurse():
+    n = 5000
+    rem = staircase_rem(n)
+    xs = sorted(rem)
+    with recursion_limit(60):
+        got = _kuhn_round(xs, rem)
+    assert len(got) == len(xs)
+    assert got[n + 1] == 2 * n + 2 and all(got[i] == 2 * i + 1 for i in range(n))
+    with recursion_limit(n + 200):
+        assert got == kuhn_round_recursive(xs, rem)
+
+
+def test_kuhn_round_stops_when_unsaturable():
+    # x2 has no augmenting path once x0 and x1 hold y0 and y1, so no
+    # matching saturates the xs, and x3 is never tried.
+    rem = {0: [(0, 0)], 1: [(1, 0), (2, 1)], 2: [(3, 0), (4, 1)], 3: [(5, 2)]}
+    assert _kuhn_round([0, 1, 2, 3], rem) == {0: 0, 1: 2}
+    assert len(kuhn_round_recursive([0, 1, 2, 3], rem)) == 3
