@@ -178,6 +178,24 @@ def _node_components(adj: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]
     return out
 
 
+def _trail(adj: Sequence[Sequence[tuple[int, int]]], used: bytearray, start: int) -> tuple[list[int], list[int]]:
+    """(nodes, edge ids) of the walk from `start` that always leaves by the
+    first unused edge in `adj` order, marking each edge it takes in `used`;
+    at maximum degree 2 it traces a whole path from an end, or a cycle."""
+    nodes, eids = [start], []
+    cur = start
+    while True:
+        for eid, w in adj[cur]:
+            if not used[eid]:
+                break
+        else:
+            return nodes, eids
+        used[eid] = 1
+        eids.append(eid)
+        nodes.append(w)
+        cur = w
+
+
 def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex.
 

@@ -20,16 +20,16 @@ from .bigraph import (
     to_json,
 )
 from .checker import (
+    EdgeColoring,
     PathFactor,
+    _coloring_scan,
     cert_from_dict,
     check_full_3regular,
-    check_proper,
     check_proper_path_factor,
     coloring_from_dict,
     coloring_to_dict,
     factor_from_dict,
     factor_to_dict,
-    interval_violation,
     path_factor_violation,
 )
 from .coloring import PALETTE, color_from_factor, color_summary
@@ -89,6 +89,14 @@ def _load_json(path: str, what: str) -> dict:
         raise _fail(f"cannot read {what} from {path}: {exc}") from exc
 
 
+def _load_coloring(path: str, g: BipartiteMultigraph) -> EdgeColoring:
+    """The coloring at `path`; an input error unless it has one color per edge of g."""
+    coloring = coloring_from_dict(_load_json(path, "coloring"))
+    if len(coloring.colors) != g.edge_count:
+        raise _fail(f"coloring covers {len(coloring.colors)} edges, graph has {g.edge_count}")
+    return coloring
+
+
 def _report(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -127,7 +135,6 @@ def cmd_factor(args: argparse.Namespace) -> int:
         raise _fail(str(exc)) from exc
 
     report: dict = {"method": args.method}
-    factor = None
     if args.method == "search":
         res = search_proper_path_factor(g, max_nodes=args.max_nodes)
         report["status"] = res.status
@@ -138,31 +145,23 @@ def cmd_factor(args: argparse.Namespace) -> int:
     elif args.method == "oracle":
         factor = oracle_path_factor(g)
         report["status"] = "found" if factor else "none"
-    elif args.method == "via24":
-        try:
-            factor = p7_factor_via_24(g, max_nodes=args.max_nodes)
-            reason = "no-y-cover"
-        except BudgetExceeded:
-            factor, reason = None, "budget"
-        if factor is None:
-            report["status"] = "unknown"
-            report["reason"] = reason
-        else:
-            report["status"] = "found"
     else:
+        factor = None
         try:
-            cert = search_full_3regular(g, max_nodes=args.max_nodes)
-            reason = "no-full-3regular-subgraph"
+            if args.method == "via24":
+                factor = p7_factor_via_24(g, max_nodes=args.max_nodes)
+                reason = "no-y-cover"
+            else:
+                cert = search_full_3regular(g, max_nodes=args.max_nodes)
+                reason = "no-full-3regular-subgraph"
+                if cert is not None:
+                    factor = factor_from_mixed_transversal(g, cert)
+                    reason = "no-mixed-transversal"
         except BudgetExceeded:
-            cert, reason = None, "budget"
-        if cert is not None:
-            factor = factor_from_mixed_transversal(g, cert)
-            reason = "no-mixed-transversal"
+            reason = "budget"
+        report["status"] = "unknown" if factor is None else "found"
         if factor is None:
-            report["status"] = "unknown"
             report["reason"] = reason
-        else:
-            report["status"] = "found"
 
     if factor is not None:
         assert check_proper_path_factor(g, factor)
@@ -210,20 +209,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = max(worst, EXIT_NONE)
 
     if args.coloring:
-        coloring = coloring_from_dict(_load_json(args.coloring, "coloring"))
-        if len(coloring.colors) != g.edge_count:
-            raise _fail(f"coloring covers {len(coloring.colors)} edges, graph has {g.edge_count}")
-        if not check_proper(g, coloring):
-            print("coloring: FAIL (not proper)")
-            worst = max(worst, EXIT_NONE)
+        coloring = _load_coloring(args.coloring, g)
+        proper, gap = _coloring_scan(g, coloring)  # one pass decides both
+        if proper and gap is None:
+            print(f"coloring: ok (proper interval, palette {coloring.palette_size})")
         else:
-            bad = interval_violation(g, coloring)
-            if bad is None:
-                print(f"coloring: ok (proper interval, palette {coloring.palette_size})")
-            else:
-                v, got = bad
-                print(f"coloring: FAIL (colors {list(got)} at {v.label} are not consecutive)")
-                worst = max(worst, EXIT_NONE)
+            why = "not proper" if not proper else f"colors {list(gap[1])} at {gap[0].label} are not consecutive"
+            print(f"coloring: FAIL ({why})")
+            worst = max(worst, EXIT_NONE)
 
     if args.cert:
         cert = cert_from_dict(_load_json(args.cert, "subgraph certificate"))
@@ -304,10 +297,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     colors = None
     if args.coloring:
-        coloring = coloring_from_dict(_load_json(args.coloring, "coloring"))
-        if len(coloring.colors) != g.edge_count:
-            raise _fail(f"coloring covers {len(coloring.colors)} edges, graph has {g.edge_count}")
-        colors = {eid: c for eid, c in enumerate(coloring.colors)}
+        colors = dict(enumerate(_load_coloring(args.coloring, g).colors))
     _write_text(args.dot, to_dot(g, colors))
     return EXIT_OK
 

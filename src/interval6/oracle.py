@@ -3,14 +3,18 @@
 Everything here answers the same questions as the constructive modules
 but by a structurally different route, so the two sides can be tested
 against each other. These run in time exponential in the graph size and
-are only meant for small instances.
+are only meant for small instances; they take no node budget. They run
+over node ids (Y-vertex j is node x_count + j) on explicit stacks, so no
+recursion depth grows with the input, and read factor paths off with
+`bigraph`'s component routine and trail walker. tests/test_oracle.py
+keeps the recursive originals as references.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .bigraph import BipartiteMultigraph, biregular34_k, xv, yv
+from .bigraph import BipartiteMultigraph, _node_components, _trail, biregular34_k, node_vertex
 from .checker import (
     FACTOR_LENGTHS,
     EdgeColoring,
@@ -69,6 +73,7 @@ def oracle_path_factor(
 
     In any proper path factor every Y-vertex is interior, hence keeps
     exactly 2 of its 4 edges. The search assigns those pairs Y by Y,
+    in `combinations` order on an explicit stack (no recursion),
     rejecting cycles and oversized components with a union-find, then
     reads the surviving paths off the chosen edge set.
     """
@@ -78,83 +83,74 @@ def oracle_path_factor(
         raise ValueError(f"lengths must be a nonempty subset of {FACTOR_LENGTHS}")
     cap = max(allowed) + 1  # vertices on the longest allowed path
 
-    xdeg = [0] * g.x_count
-    dsu = _Dsu(g.x_count + g.y_count)
-
-    def ynode(j: int) -> int:
-        return g.x_count + j
-
+    n, ny = g.x_count, g.y_count
+    pairs = [list(combinations([eid for eid, _ in a], 2)) for a in g.y_adj]
+    xdeg = [0] * n
+    dsu = _Dsu(n + ny)  # Y-vertex j is node n + j
     chosen: list[int] = []
-
-    def place(j: int) -> bool:
-        if j == g.y_count:
-            return all(d >= 1 for d in xdeg) and _read_paths(g, chosen, allowed) is not None
-        for e1, e2 in combinations([eid for eid, _ in g.y_adj[j]], 2):
+    tried = [0] * ny  # per depth j: one past the pair placed at Y-vertex j, 0 while none is
+    marks = [0] * ny  # per depth j: the union-find mark before that pair
+    j = 0
+    while j >= 0:
+        if j == ny:
+            if 0 not in xdeg:  # every X-vertex is on a path
+                factor = _read_paths(g, chosen, allowed)
+                if factor is not None:
+                    assert check_proper_path_factor(g, factor)
+                    return factor
+            j -= 1
+            continue
+        t = tried[j]
+        if t:  # undo the previous try
+            e2, e1 = chosen.pop(), chosen.pop()
+            xdeg[g.edges[e1][0]] -= 1
+            xdeg[g.edges[e2][0]] -= 1
+            dsu.rollback(marks[j])
+        while t < len(pairs[j]):
+            e1, e2 = pairs[j][t]
+            t += 1
             x1, x2 = g.edges[e1][0], g.edges[e2][0]
             if xdeg[x1] >= 2 or xdeg[x2] >= 2 or (x1 == x2 and xdeg[x1] >= 1):
                 continue
             mark = dsu.mark()
-            if not dsu.union(x1, ynode(j)) or not dsu.union(x2, ynode(j)):
-                dsu.rollback(mark)
-                continue
-            if dsu.comp_size(ynode(j)) > cap:
-                dsu.rollback(mark)
-                continue
-            xdeg[x1] += 1
-            xdeg[x2] += 1
-            chosen.extend((e1, e2))
-            if place(j + 1):
-                return True
-            chosen.pop()
-            chosen.pop()
-            xdeg[x1] -= 1
-            xdeg[x2] -= 1
+            if dsu.union(x1, n + j) and dsu.union(x2, n + j) and dsu.comp_size(n + j) <= cap:
+                xdeg[x1] += 1
+                xdeg[x2] += 1
+                chosen += (e1, e2)
+                marks[j] = mark
+                break
             dsu.rollback(mark)
-        return False
-
-    if not place(0):
-        return None
-    factor = _read_paths(g, chosen, allowed)
-    assert factor is not None and check_proper_path_factor(g, factor)
-    return factor
+        else:
+            t = 0
+        tried[j] = t
+        j += 1 if t else -1
+    return None
 
 
 def _read_paths(g: BipartiteMultigraph, chosen: list[int], allowed: frozenset[int]) -> PathFactor | None:
-    adj: dict[tuple[str, int], list[tuple[int, tuple[str, int]]]] = {}
+    """The paths an edge set of maximum degree 2 forms, ordered by their
+    smaller X-end and walked from it; None when the set holds a cycle, a
+    path ending on the Y side or a length outside `allowed`."""
+    n = g.x_count
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + g.y_count)]
     for eid in chosen:
         x, y = g.edges[eid]
-        adj.setdefault(("X", x), []).append((eid, ("Y", y)))
-        adj.setdefault(("Y", y), []).append((eid, ("X", x)))
-    ends = sorted(v for v, lst in adj.items() if len(lst) == 1)
-    if any(side != "X" for side, _ in ends):
-        return None
-    paths = []
-    seen_edges: set[int] = set()
-    for end in ends:
-        if adj[end][0][0] in seen_edges:
-            continue
-        verts = [end]
-        eids = []
-        cur = end
-        while True:
-            step = next(((e, w) for e, w in adj[cur] if e not in seen_edges), None)
-            if step is None:
-                break
-            seen_edges.add(step[0])
-            eids.append(step[0])
-            verts.append(step[1])
-            cur = step[1]
+        adj[x].append((eid, n + y))
+        adj[n + y].append((eid, x))
+    used = bytearray(g.edge_count)
+    walks = []
+    for comp in _node_components(adj):
+        ends = [u for u in comp if len(adj[u]) == 1]  # ascending, X-vertices first
+        if not ends and not adj[comp[0]]:
+            continue  # a vertex no chosen edge touches
+        if len(ends) != 2 or ends[1] >= n:
+            return None  # a cycle, or a path with a Y-end
+        nodes, eids = _trail(adj, used, ends[0])
         if len(eids) not in allowed:
             return None
-        paths.append(
-            Path(
-                tuple(xv(i) if s == "X" else yv(i) for s, i in verts),
-                tuple(eids),
-            )
-        )
-    if len(seen_edges) != len(chosen):
-        return None  # a cycle survived
-    return PathFactor(tuple(paths))
+        walks.append((nodes, eids))
+    walks.sort()  # by smaller X-end: the ends differ
+    return PathFactor(tuple(Path(tuple(node_vertex(n, u) for u in nodes), tuple(eids)) for nodes, eids in walks))
 
 
 def oracle_interval_coloring(g: BipartiteMultigraph, palette: int) -> EdgeColoring | None:
@@ -166,40 +162,37 @@ def oracle_interval_coloring(g: BipartiteMultigraph, palette: int) -> EdgeColori
     """
     if palette < 1:
         raise ValueError("palette must be positive")
-    if any(g.degree(v) > palette for v in g.vertices()):
+    adj = g.node_adj
+    if any(len(a) > palette for a in adj):
         return None  # proper needs deg distinct colors
+    n = g.x_count
     colors = [0] * len(g.edges)
-    at: dict[tuple[str, int], list[int]] = {}
-    for i in range(g.x_count):
-        at[("X", i)] = []
-    for j in range(g.y_count):
-        at[("Y", j)] = []
+    at: list[list[int]] = [[] for _ in adj]  # colors so far at each node id
 
-    def fits(key: tuple[str, int], c: int, deg: int) -> bool:
-        # colors at a vertex must stay distinct and span at most deg
-        got = at[key]
+    def fits(u: int, c: int) -> bool:
+        # colors at a vertex must stay distinct and span at most its degree
+        got = at[u]
         if c in got:
             return False
-        return max(got + [c]) - min(got + [c]) <= deg - 1
+        return max(got + [c]) - min(got + [c]) <= len(adj[u]) - 1
 
     # Explicit stack (no recursion): the depth is the edge id, and
     # colors[eid] holds the color being tried there, 0 before the first.
     eid = 0
     while 0 <= eid < len(g.edges):
         x, y = g.edges[eid]
-        kx, ky = ("X", x), ("Y", y)
-        dx, dy = len(g.x_adj[x]), len(g.y_adj[y])
+        u, w = x, n + y
         c = colors[eid]
         if c:  # undo the previous try
-            at[ky].pop()
-            at[kx].pop()
+            at[w].pop()
+            at[u].pop()
         c += 1
-        while c <= palette and not (fits(kx, c, dx) and fits(ky, c, dy)):
+        while c <= palette and not (fits(u, c) and fits(w, c)):
             c += 1
         if c <= palette:
             colors[eid] = c
-            at[kx].append(c)
-            at[ky].append(c)
+            at[u].append(c)
+            at[w].append(c)
             eid += 1
         else:
             colors[eid] = 0
@@ -237,8 +230,9 @@ def oracle_full_3regular(g: BipartiteMultigraph) -> SubgraphCertificate | None:
             if not ok:
                 break
         if ok and all(h == 1 for h in hits):
+            dropped = set(drop)
             cert = SubgraphCertificate(
-                frozenset(eid for eid, (x, _) in enumerate(g.edges) if x not in set(drop))
+                frozenset(eid for eid, (x, _) in enumerate(g.edges) if x not in dropped)
             )
             assert check_full_3regular(g, cert)
             return cert

@@ -32,6 +32,7 @@ from .bigraph import (
     BipartiteMultigraph,
     Vertex,
     _node_components,
+    _trail,
     biregular34_k,
     build,
     components,
@@ -128,20 +129,6 @@ def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
             adj[n + y].append((eid, x))
     used = bytearray(g.edge_count)
 
-    def walk(start: int) -> tuple[list[int], list[int]]:
-        nodes, eids = [start], []
-        cur = start
-        while True:
-            for eid, w in adj[cur]:
-                if not used[eid]:
-                    break
-            else:
-                return nodes, eids
-            used[eid] = 1
-            eids.append(eid)
-            nodes.append(w)
-            cur = w
-
     def vertices(nodes: list[int]) -> list[Vertex]:
         return [node_vertex(n, u) for u in nodes]
 
@@ -152,14 +139,14 @@ def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
             raise InvariantError(f"leftover graph has an isolated vertex in {vertices(comp)}")
         ones = [u for u in comp if len(adj[u]) == 1]
         if not ones:
-            nodes, eids = walk(comp[0])
+            nodes, eids = _trail(adj, used, comp[0])
             if nodes[0] != nodes[-1] or len(eids) % 2:
                 raise InvariantError("leftover component is not an even closed walk")
             cycles.append(tuple(eids))
         else:
             if len(ones) != 2 or any(u >= n for u in ones):
                 raise InvariantError(f"leftover path must join two X-vertices, got {vertices(ones)}")
-            nodes, eids = walk(ones[0])
+            nodes, eids = _trail(adj, used, ones[0])
             if nodes[-1] != ones[1]:
                 raise InvariantError("leftover path walk did not reach the other endpoint")
             paths.append(Path(tuple(vertices(nodes)), tuple(eids)))

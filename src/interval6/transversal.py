@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .bigraph import BipartiteMultigraph, _node_components, biregular34_k, xv, yv
+from .bigraph import BipartiteMultigraph, _node_components, biregular34_k, node_vertex, xv, yv
 from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, path_factor_violation
 from .errors import InvariantError
 
@@ -105,6 +105,15 @@ class FGraph:
                 w = self.out_edge(w).v
             out.append(tuple(cyc))
         return tuple(out)
+
+    @cached_property
+    def cycle_index(self) -> tuple[int, ...]:
+        """Position in `cycles` of the cycle through each vertex."""
+        idx = [0] * self.n
+        for c, cyc in enumerate(self.cycles):
+            for y in cyc:
+                idx[y] = c
+        return tuple(idx)
 
 
 @dataclass(frozen=True)
@@ -222,25 +231,17 @@ def _hall_refutes(
     on them could take the edge leaving it, which no other member can.)
     """
     triple_of = ts.triple_of
-    clique_of: dict[int, int] = {}  # member of a clique cycle -> the cycle's first vertex
-    walked = bytearray(f.n)
+    clique_of: dict[int, int] = {}  # member of a clique cycle -> the cycle's index in f.cycles
     for dom in domains:
         for y in dom:
-            if walked[y]:
-                continue
-            cyc = [y]
-            w = f.out_edge(y).v
-            while w != y:
-                cyc.append(w)
-                w = f.out_edge(w).v
-            for w in cyc:
-                walked[w] = 1
+            c = f.cycle_index[y]
+            cyc = f.cycles[c]
             # a vertex has at most 2 F-neighbors and 2 triple mates, so no clique exceeds 5
-            if len(cyc) <= 5 and all(
+            if y not in clique_of and len(cyc) <= 5 and all(
                 b in nbrs[a] or triple_of[a] == triple_of[b] for a, b in combinations(cyc, 2)
             ):
                 for w in cyc:
-                    clique_of[w] = y
+                    clique_of[w] = c
     rem = {
         s: [(q, q) for q in dict.fromkeys(clique_of[y] for y in dom)]
         for s, dom in enumerate(domains)
@@ -503,16 +504,17 @@ def proper_3_edge_color(g: BipartiteMultigraph, edge_set: frozenset[int]) -> dic
     then be a perfect matching itself. Regularity guarantees all three
     rounds succeed, so a failure raises InvariantError.
     """
-    deg: dict[tuple[str, int], int] = {}
+    n = g.x_count
+    deg = [0] * (n + g.y_count)  # subgraph degree per node id
     rem: dict[int, list[tuple[int, int]]] = {}
     for eid in sorted(edge_set):
         if not (0 <= eid < g.edge_count):
             raise ValueError(f"no edge {eid}")
         x, y = g.edges[eid]
-        deg[("X", x)] = deg.get(("X", x), 0) + 1
-        deg[("Y", y)] = deg.get(("Y", y), 0) + 1
+        deg[x] += 1
+        deg[n + y] += 1
         rem.setdefault(x, []).append((eid, y))
-    if any(d != 3 for d in deg.values()):
+    if not set(deg) <= {0, 3}:
         raise ValueError("edge set does not induce a 3-regular subgraph")
     xs = sorted(rem)
     colors: dict[int, int] = {}
@@ -535,15 +537,16 @@ def _validate_3_edge_coloring(
 ) -> None:
     if set(colors) != edge_set:
         raise ValueError("coloring does not cover the subgraph edge set")
-    seen: dict[tuple[str, int], set[int]] = {}
+    n = g.x_count
+    seen = [0] * (n + g.y_count)  # colors so far at each node id, as a bitmask
     for eid, c in colors.items():
         if c not in (1, 2, 3):
             raise ValueError(f"color {c} outside 1..3")
         x, y = g.edges[eid]
-        for key in (("X", x), ("Y", y)):
-            if c in seen.setdefault(key, set()):
-                raise ValueError(f"color {c} repeats at {key[0].lower()}{key[1]}")
-            seen[key].add(c)
+        for u in (x, n + y):
+            if seen[u] >> c & 1:
+                raise ValueError(f"color {c} repeats at {node_vertex(n, u).label}")
+            seen[u] |= 1 << c
 
 
 def build_f(

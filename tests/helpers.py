@@ -47,6 +47,13 @@ def random_core_admitting(k: int, rng: random.Random) -> BipartiteMultigraph:
     return build(4 * k, 3 * k, edges)
 
 
+def disjoint_k43(copies: int) -> BipartiteMultigraph:
+    """`copies` disjoint K_{4,3}; each has a single length-6 path as its factor."""
+    return build(4 * copies, 3 * copies, [
+        (4 * c + i, 3 * c + j) for c in range(copies) for i in range(4) for j in range(3)
+    ])
+
+
 @contextmanager
 def recursion_limit(n: int):
     """Run the block with room for at most `n` Python frames above the

@@ -2,8 +2,10 @@
 
 import json
 
+from helpers import disjoint_k43
+
 from interval6 import cli
-from interval6.bigraph import from_json, is_simple
+from interval6.bigraph import from_json, is_simple, to_json
 from interval6.checker import (
     check_interval,
     check_proper_path_factor,
@@ -217,6 +219,19 @@ def test_verify_cert_and_oracle(capsys, tmp_path):
     assert "oracle path factor: none (definitive)" in out
     # no factor, yet colorable: the factor route is sufficient, not necessary
     assert "oracle interval 6-coloring: found" in out
+
+
+def test_oracle_commands_finish_on_a_deep_instance(capsys, tmp_path):
+    """400 copies of K_{4,3}: a factor oracle recursing once per Y-vertex
+    died here with RecursionError and exit code 1."""
+    gpath = tmp_path / "k43x400.json"
+    gpath.write_text(to_json(disjoint_k43(400)))
+    code, out, err = run(capsys, "factor", "--in", str(gpath), "--method", "oracle")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"method": "oracle", "status": "found", "lengths": [6] * 400}
+    code, out, err = run(capsys, "verify", "--in", str(gpath), "--oracle")
+    assert (code, err) == (0, "")
+    assert out == "oracle path factor: found\noracle interval 6-coloring: found\n"
 
 
 def test_hunt_small_run(capsys, tmp_path):

@@ -1,13 +1,28 @@
-"""The explicit-stack interval coloring oracle against its recursive original."""
+"""The explicit-stack oracles against their recursive originals."""
 
 import random
+from itertools import combinations
 
-from helpers import random_24_biregular, recursion_limit
+from helpers import disjoint_k43, random_24_biregular, recursion_limit
 
-from interval6.bigraph import build
-from interval6.checker import EdgeColoring, check_interval, check_proper
-from interval6.generators import claw_triple_graph
-from interval6.oracle import oracle_interval_coloring
+from interval6.bigraph import BipartiteMultigraph, biregular34_k, build, xv, yv
+from interval6.checker import (
+    FACTOR_LENGTHS,
+    EdgeColoring,
+    Path,
+    PathFactor,
+    check_interval,
+    check_proper,
+    check_proper_path_factor,
+)
+from interval6.generators import (
+    claw_triple_graph,
+    eight_triples_graph,
+    random_34_biregular,
+    subset_graph_6,
+    two_eight_triples,
+)
+from interval6.oracle import _Dsu, _read_paths, oracle_interval_coloring, oracle_path_factor
 
 
 def oracle_interval_coloring_recursive(g, palette):
@@ -90,3 +105,151 @@ def test_interval_oracle_does_not_recurse():
     with recursion_limit(60):
         got = oracle_interval_coloring(g, 2)
     assert got is not None and len(got.colors) == 2 * n
+
+
+def oracle_path_factor_recursive(
+    g: BipartiteMultigraph, lengths: tuple[int, ...] = FACTOR_LENGTHS
+) -> PathFactor | None:
+    """The recursive `oracle_path_factor` the explicit-stack search
+    replaced, kept verbatim (reading paths with `read_paths_reference`)
+    as the reference whose answers it must reproduce."""
+    biregular34_k(g)
+    allowed = frozenset(lengths)
+    if not allowed or not allowed <= set(FACTOR_LENGTHS):
+        raise ValueError(f"lengths must be a nonempty subset of {FACTOR_LENGTHS}")
+    cap = max(allowed) + 1  # vertices on the longest allowed path
+
+    xdeg = [0] * g.x_count
+    dsu = _Dsu(g.x_count + g.y_count)
+
+    def ynode(j: int) -> int:
+        return g.x_count + j
+
+    chosen: list[int] = []
+
+    def place(j: int) -> bool:
+        if j == g.y_count:
+            return all(d >= 1 for d in xdeg) and read_paths_reference(g, chosen, allowed) is not None
+        for e1, e2 in combinations([eid for eid, _ in g.y_adj[j]], 2):
+            x1, x2 = g.edges[e1][0], g.edges[e2][0]
+            if xdeg[x1] >= 2 or xdeg[x2] >= 2 or (x1 == x2 and xdeg[x1] >= 1):
+                continue
+            mark = dsu.mark()
+            if not dsu.union(x1, ynode(j)) or not dsu.union(x2, ynode(j)):
+                dsu.rollback(mark)
+                continue
+            if dsu.comp_size(ynode(j)) > cap:
+                dsu.rollback(mark)
+                continue
+            xdeg[x1] += 1
+            xdeg[x2] += 1
+            chosen.extend((e1, e2))
+            if place(j + 1):
+                return True
+            chosen.pop()
+            chosen.pop()
+            xdeg[x1] -= 1
+            xdeg[x2] -= 1
+            dsu.rollback(mark)
+        return False
+
+    if not place(0):
+        return None
+    factor = read_paths_reference(g, chosen, allowed)
+    assert factor is not None and check_proper_path_factor(g, factor)
+    return factor
+
+
+def read_paths_reference(g: BipartiteMultigraph, chosen: list[int], allowed: frozenset[int]) -> PathFactor | None:
+    """The `_read_paths` with its own ("X", x)-keyed adjacency and walk,
+    kept verbatim as the reference for the shared-walker version."""
+    adj: dict[tuple[str, int], list[tuple[int, tuple[str, int]]]] = {}
+    for eid in chosen:
+        x, y = g.edges[eid]
+        adj.setdefault(("X", x), []).append((eid, ("Y", y)))
+        adj.setdefault(("Y", y), []).append((eid, ("X", x)))
+    ends = sorted(v for v, lst in adj.items() if len(lst) == 1)
+    if any(side != "X" for side, _ in ends):
+        return None
+    paths = []
+    seen_edges: set[int] = set()
+    for end in ends:
+        if adj[end][0][0] in seen_edges:
+            continue
+        verts = [end]
+        eids = []
+        cur = end
+        while True:
+            step = next(((e, w) for e, w in adj[cur] if e not in seen_edges), None)
+            if step is None:
+                break
+            seen_edges.add(step[0])
+            eids.append(step[0])
+            verts.append(step[1])
+            cur = step[1]
+        if len(eids) not in allowed:
+            return None
+        paths.append(
+            Path(
+                tuple(xv(i) if s == "X" else yv(i) for s, i in verts),
+                tuple(eids),
+            )
+        )
+    if len(seen_edges) != len(chosen):
+        return None  # a cycle survived
+    return PathFactor(tuple(paths))
+
+
+LENGTH_SETS = ((2, 4, 6, 8), (6,), (2, 4), (6, 8))
+
+
+def test_path_oracle_matches_recursive_on_seeded_graphs():
+    # random k=1 and k=2 graphs, simple and multigraph, and the shipped
+    # families, under every length set; the subset graph under (2, 4)
+    # is left out: both searches exhaust it in about 15 s
+    graphs = [
+        random_34_biregular(k, seed=s, simple_only=simple)
+        for k in (1, 2) for s in range(12) for simple in (True, False)
+    ]
+    shipped = [eight_triples_graph(), claw_triple_graph(), two_eight_triples()[0]]
+    found = 0
+    for g in graphs + shipped:
+        for lengths in LENGTH_SETS:
+            got = oracle_path_factor(g, lengths)
+            assert got == oracle_path_factor_recursive(g, lengths)
+            found += got is not None
+    subset = subset_graph_6()[0]
+    for lengths in ((2, 4, 6, 8), (6,), (6, 8)):
+        assert oracle_path_factor(subset, lengths) == oracle_path_factor_recursive(subset, lengths)
+    assert 0 < found < len(graphs + shipped) * len(LENGTH_SETS)
+
+
+def test_read_paths_matches_reference_on_random_edge_sets():
+    # two edges per Y-vertex, X-degrees at most 2 (as the oracle chooses):
+    # paths, cycles, paths ending on the Y side and uncovered X-vertices
+    rng = random.Random(31)
+    outcomes = set()
+    for trial in range(400):
+        g = random_34_biregular(rng.choice((1, 2)), seed=trial, simple_only=False)
+        chosen = [e for a in g.y_adj for e, _ in rng.sample(a, 2)]
+        xdeg = [0] * g.x_count
+        for e in chosen:
+            xdeg[g.edges[e][0]] += 1
+        if max(xdeg) > 2:
+            continue
+        for lengths in LENGTH_SETS:
+            allowed = frozenset(lengths)
+            got = _read_paths(g, chosen, allowed)
+            assert got == read_paths_reference(g, chosen, allowed)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_path_oracle_does_not_recurse():
+    """400 copies of K_{4,3}: the recursive search took one frame per Y-vertex."""
+    g = disjoint_k43(400)
+    with recursion_limit(60):
+        got = oracle_path_factor(g)
+    assert got is not None and check_proper_path_factor(g, got)
+    assert [p.length for p in got.paths] == [6] * 400
+    assert oracle_path_factor(disjoint_k43(3)) == oracle_path_factor_recursive(disjoint_k43(3))

@@ -131,6 +131,37 @@ def test_three_edge_color_rejects_unbalanced():
         proper_3_edge_color(g, frozenset(range(3)))
 
 
+def _value_error(fn, *args, **kwargs) -> str:
+    with pytest.raises(ValueError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value)
+
+
+def test_three_edge_color_messages_pinned():
+    g = claw_triple_graph()
+    assert _value_error(proper_3_edge_color, g, frozenset({12})) == "no edge 12"
+    assert _value_error(proper_3_edge_color, g, frozenset({3, -1})) == "no edge -1"
+    assert (_value_error(proper_3_edge_color, g, frozenset(range(3)))
+            == "edge set does not induce a 3-regular subgraph")
+
+
+def test_build_f_color_override_messages_pinned():
+    g = nine_cycle_instance()
+    cert = search_full_3regular(g)
+    colors = proper_3_edge_color(g, cert.edge_set)
+    e0 = min(colors)
+    short = {e: c for e, c in colors.items() if e != e0}
+    assert (_value_error(build_f, g, cert, colors=short)
+            == "coloring does not cover the subgraph edge set")
+    assert _value_error(build_f, g, cert, colors={**colors, e0: 4}) == "color 4 outside 1..3"
+    at_x3 = [e for e in colors if g.edges[e][0] == 3]  # edges 9, 10, 11 to y0, y1, y2
+    assert at_x3 == [9, 10, 11]
+    assert (_value_error(build_f, g, cert, colors={**colors, 10: colors[9]})
+            == "color 1 repeats at x3")
+    swapped = {e: {1: 2, 2: 1, 3: 3}[colors[e]] for e in at_x3}  # proper at x3, not at its Y-ends
+    assert _value_error(build_f, g, cert, colors={**colors, **swapped}) == "color 1 repeats at y1"
+
+
 def test_fgraph_validation():
     with pytest.raises(ValueError):
         FGraph(2, (FEdge(0, 1), FEdge(0, 1)))
