@@ -206,15 +206,14 @@ def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
     return [[node_vertex(n, v) for v in comp] for comp in _node_components(g.node_adj)]
 
 
-def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex], start: int = 0) -> list[int]:
+def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex]) -> list[int]:
     """Closed walk through every edge of one component, as edge ids.
 
     `component` must be one connected component (as produced by
     components()); every vertex in it must have even degree, otherwise a
-    ValueError names an offending vertex. Ties are broken by always
-    leaving along the lowest unused edge id, so the circuit is
-    deterministic; `start` rotates which vertex the walk begins at
-    (index into the sorted vertices that have edges).
+    ValueError names an offending vertex. The walk begins at the lowest
+    vertex that has edges and always leaves along the lowest unused edge
+    id, so the circuit is deterministic.
     """
     n = g.x_count
     adj = g.node_adj
@@ -233,7 +232,7 @@ def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex], start:
     used = [False] * g.edge_count
     total = sum(len(adj[u]) for u in carriers) // 2
 
-    stack: list[tuple[int, int]] = [(carriers[start % len(carriers)], -1)]  # (node, entry edge)
+    stack: list[tuple[int, int]] = [(carriers[0], -1)]  # (node, entry edge)
     rev: list[int] = []
     while stack:
         v, entry = stack[-1]

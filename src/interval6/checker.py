@@ -262,6 +262,12 @@ def cert_to_dict(cert: SubgraphCertificate) -> dict:
 
 def cert_from_dict(d: dict) -> SubgraphCertificate:
     try:
-        return SubgraphCertificate(frozenset(_strict_int(e, "edge id") for e in d["edges"]))
+        eids = [_strict_int(e, "edge id") for e in d["edges"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed subgraph object: {exc}") from exc
+    seen: set[int] = set()
+    for eid in eids:
+        if eid in seen:
+            raise ValueError(f"edge id {eid} listed twice")
+        seen.add(eid)
+    return SubgraphCertificate(frozenset(seen))

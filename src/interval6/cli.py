@@ -129,10 +129,7 @@ def _factor_lengths(factor: PathFactor) -> list[int]:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    try:
-        biregular34_k(g)
-    except ValueError as exc:
-        raise _fail(str(exc)) from exc
+    biregular34_k(g)
 
     report: dict = {"method": args.method}
     if args.method == "search":
@@ -174,10 +171,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 def cmd_color(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    try:
-        factor = factor_from_dict(_load_json(args.factor, "factor"))
-    except ValueError as exc:
-        raise _fail(str(exc)) from exc
+    factor = factor_from_dict(_load_json(args.factor, "factor"))
     why = path_factor_violation(g, factor)
     if why is not None:
         raise _fail(f"factor rejected: {why}")
@@ -227,10 +221,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = max(worst, EXIT_NONE)
 
     if args.oracle:
-        try:
-            biregular34_k(g)
-        except ValueError as exc:
-            raise _fail(str(exc)) from exc
         factor = oracle_path_factor(g)
         print(f"oracle path factor: {'found' if factor else 'none (definitive)'}")
         coloring = oracle_interval_coloring(g, PALETTE)
@@ -254,9 +244,11 @@ def _hunt_trial(task: tuple[int, int, int]) -> tuple[str, dict | None]:
 
 def cmd_hunt(args: argparse.Namespace) -> int:
     tasks = [(args.k, args.seed + i, args.max_nodes) for i in range(args.trials)]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_hunt_trial, tasks, chunksize=16)
+    chunk = 16
+    workers = min(args.jobs, -(-len(tasks) // chunk))  # no more workers than chunks
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            results = pool.map(_hunt_trial, tasks, chunksize=chunk)
     else:
         results = [_hunt_trial(t) for t in tasks]
 

@@ -17,6 +17,8 @@ from itertools import combinations
 from . import bigraph
 from .bigraph import BipartiteMultigraph, build, xv, yv
 from .checker import Path, PathFactor, check_proper_path_factor
+from .pathfactor import search_proper_path_factor
+from .transversal import FEdge, FGraph, TripleSystem
 
 # Explicit path factor of the subset graph: five alternating runs of
 # 3-subsets and 2-subsets of {1..6}, each a length-6 path.
@@ -177,7 +179,7 @@ def random_34_biregular(k: int, seed: int, simple_only: bool = True) -> Bipartit
     raise ValueError(f"no simple sample found for k={k}, seed={seed} in 10000 draws")
 
 
-def independent_obstruction(k: int = 12) -> tuple["FGraph", "TripleSystem"]:
+def independent_obstruction(k: int = 12) -> tuple[FGraph, TripleSystem]:
     """Link structure with no independent transversal (but a spread one).
 
     k triples (a positive multiple of 6) on vertices numbered
@@ -190,8 +192,6 @@ def independent_obstruction(k: int = 12) -> tuple["FGraph", "TripleSystem"]:
     the structure by this same count (Hall's condition) before it
     branches, in time polynomial in k.
     """
-    from .transversal import FEdge, FGraph, TripleSystem
-
     if k < 6 or k % 6:
         raise ValueError("k must be a positive multiple of 6")
 
@@ -213,7 +213,7 @@ def independent_obstruction(k: int = 12) -> tuple["FGraph", "TripleSystem"]:
     return f, ts
 
 
-def spread_obstruction(k: int = 8) -> tuple["FGraph", "TripleSystem"]:
+def spread_obstruction(k: int = 8) -> tuple[FGraph, TripleSystem]:
     """Link structure with no spread transversal (but an independent one).
 
     k triples (a positive even number) whose vertices sit on 3k/2
@@ -222,8 +222,6 @@ def spread_obstruction(k: int = 8) -> tuple["FGraph", "TripleSystem"]:
     transversal needs a member on every cycle, and 3k/2 > k. Taking all
     first elements is an independent transversal.
     """
-    from .transversal import FEdge, FGraph, TripleSystem
-
     if k < 2 or k % 2:
         raise ValueError("k must be a positive even number")
 
@@ -244,7 +242,7 @@ def spread_obstruction(k: int = 8) -> tuple["FGraph", "TripleSystem"]:
     return f, ts
 
 
-def no_mixed_transversal_instance() -> tuple["FGraph", "TripleSystem"]:
+def no_mixed_transversal_instance() -> tuple[FGraph, TripleSystem]:
     """Link structure and triples admitting no mixed transversal at all.
 
     Disjoint copies of independent_obstruction(12) (vertices 0..35) and
@@ -259,8 +257,6 @@ def no_mixed_transversal_instance() -> tuple["FGraph", "TripleSystem"]:
     condition (ten triples whose members lie only on the nine clique
     cycles of the first part).
     """
-    from .transversal import FEdge, FGraph, TripleSystem
-
     f1, t1 = independent_obstruction(12)
     f2, t2 = spread_obstruction(8)
     swap = {0: 36, 36: 0}
@@ -282,8 +278,6 @@ def two_eight_triples() -> tuple[BipartiteMultigraph, PathFactor]:
     giving a 2-edge-connected instance that the coverage-based pipeline
     cannot handle.
     """
-    from .pathfactor import search_proper_path_factor
-
     g = eight_triples_graph()
     res = search_proper_path_factor(g, lengths=(6,))
     if res.status != "found":

@@ -43,7 +43,15 @@ from .bigraph import (
     xv,
     yv,
 )
-from .checker import FACTOR_LENGTHS, Path, PathFactor, check_proper_path_factor, path_factor_violation
+from .checker import (
+    FACTOR_LENGTHS,
+    Path,
+    PathFactor,
+    SubgraphCertificate,
+    check_full_3regular,
+    check_proper_path_factor,
+    path_factor_violation,
+)
 from .errors import BudgetExceeded, InvariantError
 
 
@@ -559,8 +567,6 @@ def search_full_3regular(
     included; exceeding it raises BudgetExceeded, so None always means
     no such subgraph exists.
     """
-    from .checker import SubgraphCertificate
-
     biregular34_k(g)
     cands = []
     for i in range(g.x_count):
@@ -572,7 +578,5 @@ def search_full_3regular(
         return None
     drop = set(chosen)
     cert = SubgraphCertificate(frozenset(eid for eid, (x, _) in enumerate(g.edges) if x not in drop))
-    from .checker import check_full_3regular
-
     assert check_full_3regular(g, cert)
     return cert

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .bigraph import BipartiteMultigraph, _node_components, biregular34_k, node_vertex, xv, yv
+from .bigraph import BipartiteMultigraph, _node_components, _trail, biregular34_k, node_vertex, xv, yv
 from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, path_factor_violation
 from .errors import InvariantError
 
@@ -92,18 +92,12 @@ class FGraph:
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Vertex cycles in forward order, each starting at its smallest vertex."""
-        seen = [False] * self.n
+        adj = [((p, self.edges[p].v),) for p in self.out_index]  # the out-edge only
+        used = bytearray(len(self.edges))
         out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = []
-            w = start
-            while not seen[w]:
-                seen[w] = True
-                cyc.append(w)
-                w = self.out_edge(w).v
-            out.append(tuple(cyc))
+        for start, p in enumerate(self.out_index):
+            if not used[p]:
+                out.append(tuple(_trail(adj, used, start)[0][:-1]))  # the trail closes at start
         return tuple(out)
 
     @cached_property
@@ -114,6 +108,21 @@ class FGraph:
             for y in cyc:
                 idx[y] = c
         return tuple(idx)
+
+    @cached_property
+    def neighbors(self) -> tuple[frozenset[int], ...]:
+        """F-neighbors of each vertex along either direction; a loop adds none."""
+        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+        for e in self.edges:
+            if e.u != e.v:
+                nbrs[e.u].add(e.v)
+                nbrs[e.v].add(e.u)
+        return tuple(map(frozenset, nbrs))
+
+    @cached_property
+    def looped(self) -> frozenset[int]:
+        """Vertices carrying a loop."""
+        return frozenset(e.u for e in self.edges if e.u == e.v)
 
 
 @dataclass(frozen=True)
@@ -188,35 +197,21 @@ def _spread_violation(cycles: Iterable[tuple[int, ...]], members: set[int]) -> s
     return None
 
 
-def is_spread(f: FGraph, members: Iterable[int], orientation: int = 1) -> bool:
+def is_spread(f: FGraph, members: Iterable[int]) -> bool:
     """True when every F-cycle meets `members` with gaps of at most 3.
 
-    A gap is a maximal run of consecutive non-members along the cycle.
-    `orientation` 1 follows the stored direction, -1 the reverse; runs
-    are the same vertex sets either way, so the answer cannot depend on
-    it (the parameter exists to make that checkable).
+    A gap is a maximal run of consecutive non-members along the cycle;
+    runs are the same vertex sets in either direction.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation is 1 or -1")
-    walks = f.cycles if orientation == 1 else [cyc[::-1] for cyc in f.cycles]
-    return _spread_violation(walks, set(members)) is None
+    return _spread_violation(f.cycles, set(members)) is None
 
 
-def _f_neighbors(f: FGraph) -> tuple[dict[int, set[int]], set[int]]:
-    nbrs: dict[int, set[int]] = {y: set() for y in range(f.n)}
-    looped: set[int] = set()
-    for e in f.edges:
-        if e.u == e.v:
-            looped.add(e.u)
-        else:
-            nbrs[e.u].add(e.v)
-            nbrs[e.v].add(e.u)
-    return nbrs, looped
+def _cycles_through(f: FGraph, ts: TripleSystem, idxs: Iterable[int]) -> list[int]:
+    """Ascending indices in `f.cycles` of the cycles through the given triples."""
+    return sorted({f.cycle_index[y] for i in idxs for y in ts.triples[i]})
 
 
-def _hall_refutes(
-    f: FGraph, ts: TripleSystem, domains: list[list[int]], nbrs: dict[int, set[int]]
-) -> bool:
+def _hall_refutes(f: FGraph, ts: TripleSystem, domains: list[list[int]]) -> bool:
     """True when the triples with unlooped members `domains` have no
     independent transversal, by Hall's condition on cliques of F*.
 
@@ -230,6 +225,7 @@ def _hall_refutes(
     cycles add nothing: split into one 2-clique per F-edge, each member
     on them could take the edge leaving it, which no other member can.)
     """
+    nbrs = f.neighbors
     triple_of = ts.triple_of
     clique_of: dict[int, int] = {}  # member of a clique cycle -> the cycle's index in f.cycles
     for dom in domains:
@@ -254,7 +250,8 @@ CLOSED = 4  # added to a chosen triple's live count: above any open one's 0..3
 
 
 def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict[int, int] | None:
-    """Complete backtracking for an independent transversal of the given triples.
+    """Complete backtracking for an independent transversal of the given
+    triples, which make up whole F* components.
 
     A vertex carrying a loop can never be chosen: its loop makes it
     adjacent to itself. That convention extends the construction to
@@ -280,19 +277,21 @@ def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict
     members are tried in triple order, and a choice that wipes out an
     open triple is undone at once.
     """
-    nbrs, looped = _f_neighbors(f)
-    nb = [tuple(nbrs[y]) for y in range(f.n)]  # at most 2 each: F is 2-regular
+    nb = f.neighbors  # at most 2 each: F is 2-regular
     order = sorted(idxs)
-    domains = [[y for y in ts.triples[i] if y not in looped] for i in order]
-    if _hall_refutes(f, ts, domains, nbrs):
+    domains = [[y for y in ts.triples[i] if y not in f.looped] for i in order]
+    if _hall_refutes(f, ts, domains):
         return None
-    slot_of = [-1] * f.n  # slot of the triple holding a domain vertex
+    # keyed by the triples' vertices, which hold every F-neighbor of theirs:
+    # a component costs time in its own size, not in |F|
+    verts = [y for i in order for y in ts.triples[i]]
+    slot_of = dict.fromkeys(verts, -1)  # slot of the triple holding a domain vertex
     for s, dom in enumerate(domains):
         for y in dom:
             slot_of[y] = s
     live = [len(dom) for dom in domains]
     wiped = live.count(0)
-    ban = [0] * f.n
+    ban = dict.fromkeys(verts, 0)
     slots = range(len(order))
     chosen: dict[int, int] = {}
 
@@ -332,27 +331,24 @@ def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict
             return None
 
 
-def _spread_for(
-    f: FGraph, ts: TripleSystem, idxs: tuple[int, ...], comp: set[int]
-) -> dict[int, int] | None:
-    """Complete backtracking for a spread transversal of one component.
+def _spread_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict[int, int] | None:
+    """Complete backtracking for a spread transversal of whole components.
 
     Triples are taken in ascending order and their members in triple
     order, on an explicit stack (no recursion). After each choice the
-    partial transversal must stay feasible: every F-cycle of the
-    component can still get a member and close its gaps over 3 from the
+    partial transversal must stay feasible: every F-cycle through the
+    triples can still get a member and close its gaps over 3 from the
     open triples on it, and the open triples cover the summed need. Each
     cycle's need (None when it cannot be met) is cached with a running
     total, and choosing or undoing triple i recomputes only the cycles
     holding a vertex of i, the only ones whose members or open triples
     change. A full assignment must pass `_spread_violation`.
     """
-    cycles = [c for c in f.cycles if c[0] in comp]
-    if len(cycles) > len(idxs):
+    cids = _cycles_through(f, ts, idxs)
+    if len(cids) > len(idxs):
         return None  # each cycle needs a member and triples give one each
     triple_of = ts.triple_of
-    cycle_of = {y: c for c, cyc in enumerate(cycles) for y in cyc}
-    touched = {i: sorted({cycle_of[y] for y in ts.triples[i]}) for i in idxs}
+    touched = {i: {f.cycle_index[y] for y in ts.triples[i]} for i in idxs}
     members: set[int] = set()
     chosen: dict[int, int] = {}
 
@@ -375,14 +371,14 @@ def _spread_for(
             total += need
         return total
 
-    needs = [need_of(cyc) for cyc in cycles]
-    blocked = sum(n is None for n in needs)
-    total_need = sum(n for n in needs if n is not None)
+    needs = {c: need_of(f.cycles[c]) for c in cids}
+    blocked = sum(n is None for n in needs.values())
+    total_need = sum(n for n in needs.values() if n is not None)
 
     def refresh(i: int) -> None:
         nonlocal blocked, total_need
         for c in touched[i]:
-            old, new = needs[c], need_of(cycles[c])
+            old, new = needs[c], need_of(f.cycles[c])
             needs[c] = new
             blocked += (new is None) - (old is None)
             total_need += (new or 0) - (old or 0)
@@ -392,7 +388,7 @@ def _spread_for(
     at = 0
     while at >= 0:
         if at == len(order):
-            if _spread_violation(cycles, members) is None:
+            if _spread_violation((f.cycles[c] for c in cids), members) is None:
                 return chosen
             at -= 1
             continue
@@ -424,23 +420,21 @@ def find_independent_transversal(f: FGraph, ts: TripleSystem) -> tuple[int, ...]
 def find_spread_transversal(f: FGraph, ts: TripleSystem) -> tuple[int, ...] | None:
     """One vertex per triple meeting every F-cycle with gaps at most 3; None if impossible."""
     _check_partition(f, ts)
-    got = _spread_for(f, ts, tuple(range(len(ts.triples))), set(range(f.n)))
+    got = _spread_for(f, ts, tuple(range(len(ts.triples))))
     return None if got is None else tuple(got[i] for i in range(len(ts.triples)))
 
 
 def find_mixed_transversal(f: FGraph, ts: TripleSystem) -> MixedTransversal | None:
     """Per F*-component, an independent or a spread transversal; None if some
     component supports neither."""
-    comps = fstar_components(f, ts)
     members: dict[int, int] = {}
     parts = []
-    for comp in comps:
-        comp_set = set(comp)
+    for comp in fstar_components(f, ts):
         idxs = tuple(sorted({ts.triple_of[y] for y in comp}))
         got = _independent_for(f, ts, idxs)
         case = "independent"
         if got is None:
-            got = _spread_for(f, ts, idxs, comp_set)
+            got = _spread_for(f, ts, idxs)
             case = "spread"
         if got is None:
             return None
@@ -611,28 +605,20 @@ def factor_from_mixed_transversal(
             return None
     _validate_mixed(f, ts, mixed)
 
-    # X-vertices outside the subgraph, ascending: x0s[i] is the one whose neighborhood is triple i
-    inside = {e.mid_x for e in f.edges}
-    x0s = [x for x in range(g.x_count) if x not in inside]
-    trip_eid: dict[tuple[int, int], int] = {}
-    for x in x0s:
-        for eid, j in g.x_adj[x]:
-            trip_eid[(x, j)] = eid
-
-    def m_of(y: int) -> tuple[int, int]:
-        e = f.out_edge(y)
-        return e.mid_x, e.edge1
-
-    def c2_of(y: int) -> tuple[int, int]:
-        e = f.in_edge(y)
-        return e.mid_x, e.edge2
+    # Each Y-vertex has one edge to the X-vertices outside the subgraph:
+    # to the one whose neighborhood is its triple.
+    outside: list[tuple[int, int]] = [(-1, -1)] * g.y_count  # y -> (that X-vertex, edge id)
+    for eid, (x, y) in enumerate(g.edges):
+        if eid not in cert.edge_set:
+            outside[y] = (x, eid)
 
     paths: list[Path] = []
     for part in mixed.parts:
+        chosen = {i: mixed.members[i] for i in part.indices}
         if part.case == "independent":
-            paths.extend(_case_independent(f, ts, mixed, part, x0s, trip_eid, m_of, c2_of))
+            paths.extend(_case_independent(f, ts, chosen, outside))
         else:
-            paths.extend(_case_spread(f, ts, mixed, part, x0s, trip_eid))
+            paths.extend(_case_spread(f, chosen, outside))
 
     factor = PathFactor(tuple(paths))
     why = path_factor_violation(g, factor)
@@ -651,64 +637,62 @@ def _validate_mixed(f: FGraph, ts: TripleSystem, mixed: MixedTransversal) -> Non
     covered = sorted(i for part in mixed.parts for i in part.indices)
     if covered != list(range(k)):
         raise ValueError("parts do not partition the triples")
-    nbrs, looped = _f_neighbors(f)
+    part_of = {i: p for p, part in enumerate(mixed.parts) for i in part.indices}
+    for comp in fstar_components(f, ts):
+        if len({part_of[ts.triple_of[y]] for y in comp}) > 1:
+            raise ValueError("parts split an F* component")
     for part in mixed.parts:
         chosen = [mixed.members[i] for i in part.indices]
         if part.case == "independent":
-            bad = set(chosen) & looped
-            if bad or any(b in nbrs[a] for a in chosen for b in chosen):
+            if f.looped.intersection(chosen) or any(b in f.neighbors[a] for a in chosen for b in chosen):
                 raise ValueError("part is not an independent transversal")
         elif part.case == "spread":
-            comp = {y for i in part.indices for y in ts.triples[i]}
-            why = _spread_violation((c for c in f.cycles if c[0] in comp), set(chosen))
+            cycles = (f.cycles[c] for c in _cycles_through(f, ts, part.indices))
+            why = _spread_violation(cycles, set(chosen))
             if why is not None:
                 raise ValueError(f"part {why}, not spread")
         else:
             raise ValueError(f"unknown case {part.case!r}")
 
 
-def _case_independent(f, ts, mixed, part, x0s, trip_eid, m_of, c2_of) -> list[Path]:
+def _case_independent(
+    f: FGraph, ts: TripleSystem, chosen: dict[int, int], outside: list[tuple[int, int]]
+) -> list[Path]:
     bases: dict[int, tuple[list, list]] = {}
     end_at: dict[int, tuple[int, int]] = {}  # base endpoint x -> (triple, 0 left / 1 right)
-    for i in part.indices:
-        y1 = mixed.members[i]
-        y2, y3 = sorted(set(ts.triples[i]) - {y1})
-        x2, e2 = m_of(y2)
-        x3, e3 = m_of(y3)
-        x0 = x0s[i]
-        verts = [xv(x2), yv(y2), xv(x0), yv(y3), xv(x3)]
-        eids = [e2, trip_eid[(x0, y2)], trip_eid[(x0, y3)], e3]
+    for i, y1 in chosen.items():
+        y2, y3 = (y for y in ts.triples[i] if y != y1)
+        m2, m3 = f.out_edge(y2), f.out_edge(y3)
+        x0, e02 = outside[y2]
+        verts = [xv(m2.mid_x), yv(y2), xv(x0), yv(y3), xv(m3.mid_x)]
+        eids = [m2.edge1, e02, outside[y3][1], m3.edge1]
         bases[i] = (verts, eids)
-        end_at[x2] = (i, 0)
-        end_at[x3] = (i, 1)
+        end_at[m2.mid_x] = (i, 0)
+        end_at[m3.mid_x] = (i, 1)
     used_ends: set[int] = set()
-    for i in part.indices:
-        y1 = mixed.members[i]
-        xh, eh = c2_of(y1)
-        x1, e1 = m_of(y1)
-        if xh not in end_at or xh in used_ends:
-            raise InvariantError(f"color-2 neighbor x{xh} of y{y1} is not a free path end")
-        used_ends.add(xh)
-        j, side = end_at[xh]
+    for y1 in chosen.values():
+        h, m = f.in_edge(y1), f.out_edge(y1)  # y1's color-2 and color-1 edges
+        if h.mid_x not in end_at or h.mid_x in used_ends:
+            raise InvariantError(f"color-2 neighbor x{h.mid_x} of y{y1} is not a free path end")
+        used_ends.add(h.mid_x)
+        j, side = end_at[h.mid_x]
         verts, eids = bases[j]
         if side == 0:
-            verts[:0] = [xv(x1), yv(y1)]
-            eids[:0] = [e1, eh]
+            verts[:0] = [xv(m.mid_x), yv(y1)]
+            eids[:0] = [m.edge1, h.edge2]
         else:
-            verts.extend([yv(y1), xv(x1)])
-            eids.extend([eh, e1])
-    return [Path(tuple(v), tuple(e)) for v, e in (bases[i] for i in part.indices)]
+            verts.extend([yv(y1), xv(m.mid_x)])
+            eids.extend([h.edge2, m.edge1])
+    return [Path(tuple(v), tuple(e)) for v, e in bases.values()]
 
 
-def _case_spread(f, ts, mixed, part, x0s, trip_eid) -> list[Path]:
-    members = {mixed.members[i] for i in part.indices}
-    deleted = {f.in_index[m] for m in members}
+def _case_spread(f: FGraph, chosen: dict[int, int], outside: list[tuple[int, int]]) -> list[Path]:
+    deleted = {f.in_index[m] for m in chosen.values()}
     paths = []
-    for i in part.indices:
-        m = mixed.members[i]
-        x0 = x0s[i]
+    for m in chosen.values():
+        x0, eid = outside[m]
         verts = [xv(x0), yv(m)]
-        eids = [trip_eid[(x0, m)]]
+        eids = [eid]
         cur = m
         steps = 0
         while f.out_index[cur] not in deleted:

@@ -130,11 +130,13 @@ def test_eulerian_with_parallel_edges():
     assert walk_is_circuit(g, circ, range(4))
 
 
-def test_eulerian_start_rotation():
-    g = build(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    comp = components(g)[0]
-    rotated = eulerian_circuit(g, comp, start=1)
-    assert walk_is_circuit(g, rotated, range(4))
+def test_eulerian_starts_at_lowest_vertex_with_edges():
+    # x0 is isolated; the four-cycle's circuit leaves x1 by its lowest edge
+    g = build(3, 2, [(1, 0), (1, 1), (2, 0), (2, 1)])
+    assert components(g)[0] == [xv(0)] and eulerian_circuit(g, [xv(0)]) == []
+    circ = eulerian_circuit(g, components(g)[1])
+    assert walk_is_circuit(g, circ, range(4))
+    assert circ[0] == 0 and g.edges[circ[-1]][0] == 1
 
 
 def test_eulerian_rejects_a_component_missing_a_vertex():

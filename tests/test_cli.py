@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
+import random
 
-from helpers import disjoint_k43
+from helpers import disjoint_k43, random_core_admitting
 
 from interval6 import cli
 from interval6.bigraph import from_json, is_simple, to_json
@@ -69,7 +71,7 @@ def test_gen_factor_out_needs_canonical_factor(capsys, tmp_path):
 
 
 def test_factor_search_writes_verified_factor(capsys, tmp_path):
-    gpath = gen_file(capsys, tmp_path, "subset6")
+    gpath = gen_file(capsys, tmp_path, "random", "--k", "3", "--seed", "7")
     fpath = tmp_path / "found.json"
     code, out, _ = run(capsys, "factor", "--in", str(gpath), "--out", str(fpath))
     assert code == 0
@@ -108,6 +110,21 @@ def test_factor_transversal_paths(capsys, tmp_path):
     code, out, _ = run(capsys, "factor", "--in", str(gpath), "--method", "transversal")
     assert code == 2
     assert json.loads(out)["reason"] == "no-full-3regular-subgraph"
+
+
+def test_factor_transversal_output_pinned(capsys, tmp_path):
+    # stdout as the assembly wrote it when it keyed outside edges by (x, y) pairs
+    gpath = gen_file(capsys, tmp_path, "random", "--k", "1", "--seed", "0")
+    code, out, err = run(capsys, "factor", "--in", str(gpath), "--method", "transversal", "--out", "-")
+    assert (code, err) == (0, "")
+    assert out == ('{"paths": [["x1", 4, "y0", 8, "x2", 6, "y1", 2, "x0", 0, "y2", 9, "x3"]]}\n'
+                   '{"lengths": [6], "method": "transversal", "status": "found"}\n')
+    gpath = tmp_path / "core.json"
+    gpath.write_text(to_json(random_core_admitting(8, random.Random(31))))
+    code, out, err = run(capsys, "factor", "--in", str(gpath), "--method", "transversal", "--out", "-")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ea97d92f1df7e7bdf90a7fda8d3a73b8873512d900eeb0518549fd536f0c3d90")
 
 
 def test_factor_transversal_budget_stop(capsys, tmp_path):
@@ -149,6 +166,24 @@ def test_factor_rejects_bad_input(capsys, tmp_path):
     bad.write_text('{"x_count": 2, "y_count": 1, "edges": [[0, 0], [1, 0]]}')
     code, _, err = run(capsys, "factor", "--in", str(bad))
     assert code == 3 and "biregular" in err
+
+
+def test_input_errors_pinned(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"x_count": 2, "y_count": 1, "edges": [[0, 0], [1, 0]]}')
+    not_biregular = (3, "", "error: graph is not (3,4)-biregular\n")
+    for method in ("search", "oracle", "via24", "transversal"):
+        assert run(capsys, "factor", "--in", str(bad), "--method", method) == not_biregular
+    assert run(capsys, "verify", "--in", str(bad), "--oracle") == not_biregular
+    gpath = tmp_path / "g.json"
+    fpath = tmp_path / "f.json"
+    run(capsys, "gen", "--family", "subset6", "--out", str(gpath), "--factor-out", str(fpath))
+    factor = json.loads(fpath.read_text())
+    for label, shown in (("z0", "'z0'"), ("x0\n", "'x0\\n'")):
+        factor["paths"][0][0] = label
+        fpath.write_text(json.dumps(factor))
+        assert run(capsys, "color", "--in", str(gpath), "--factor", str(fpath)) == (
+            3, "", f"error: bad vertex label {shown}\n")
 
 
 def test_color_pipeline(capsys, tmp_path):
@@ -213,6 +248,11 @@ def test_verify_cert_and_oracle(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--in", str(gpath), "--oracle")
     assert code == 0
     assert "oracle path factor: found" in out
+    # ids listed twice are rejected, not merged into a passing certificate
+    gpath = gen_file(capsys, tmp_path, "claw-triple")
+    cert.write_text(json.dumps({"edges": list(range(3, 12)) + [3, 7]}))
+    assert run(capsys, "verify", "--in", str(gpath), "--cert", str(cert)) == (
+        3, "", "error: edge id 3 listed twice\n")
     gpath = gen_file(capsys, tmp_path, "claw-triple")
     code, out, _ = run(capsys, "verify", "--in", str(gpath), "--oracle")
     assert code == 1
@@ -252,6 +292,33 @@ def test_hunt_jobs_are_bit_identical(capsys, tmp_path):
     assert code1 == code8 == 0
     assert out1 == out8
     assert json.loads(out1)["tallies"]["factor"] == 40
+
+
+def test_hunt_starts_no_more_workers_than_chunks(capsys, tmp_path, monkeypatch):
+    # trials go out in chunks of 16; a pool that would idle is never started
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", InlinePool)
+    for trials, jobs, started in ((10, 8, []), (0, 8, []), (40, 8, [3]), (40, 2, [2]), (100, 8, [7])):
+        args = ["hunt", "--k", "1", "--trials", str(trials), "--seed", "3",
+                "--archive", str(tmp_path / "hits")]
+        sizes.clear()
+        code, out, _ = run(capsys, *args, "--jobs", str(jobs))
+        assert sizes == started
+        assert (code, out) == run(capsys, *args)[:2]
 
 
 def test_hunt_bounded_out_reports_unknown(capsys, tmp_path):

@@ -22,7 +22,6 @@ from interval6.generators import (
 )
 from interval6.pathfactor import search_full_3regular
 from interval6.transversal import (
-    _f_neighbors,
     _gaps,
     _hall_refutes,
     _independent_for,
@@ -62,6 +61,14 @@ def permutation_fgraph(n, rng):
     targets = list(range(n))
     rng.shuffle(targets)
     return FGraph(n, tuple(FEdge(u, v) for u, v in enumerate(targets)))
+
+
+def disjoint_copies(f, ts, copies):
+    """`copies` disjoint relabelled copies of one link structure."""
+    n = f.n
+    fedges = tuple(FEdge(e.u + c * n, e.v + c * n) for c in range(copies) for e in f.edges)
+    triples = tuple(tuple(y + c * n for y in t) for c in range(copies) for t in ts.triples)
+    return FGraph(n * copies, fedges), TripleSystem(triples)
 
 
 def consecutive_triples(n):
@@ -180,6 +187,52 @@ def test_fgraph_cycles_canonical():
     assert f.in_edge(2) == FEdge(0, 2)
 
 
+def fgraph_cycles_walk(f):
+    """The cycle walk `FGraph.cycles` ran before it used the shared trail
+    walker, kept verbatim as the reference."""
+    seen = [False] * f.n
+    out = []
+    for start in range(f.n):
+        if seen[start]:
+            continue
+        cyc = []
+        w = start
+        while not seen[w]:
+            seen[w] = True
+            cyc.append(w)
+            w = f.out_edge(w).v
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def f_neighbors_reference(f):
+    """The neighbor sets and looped vertices `FGraph.neighbors` and
+    `FGraph.looped` replaced, kept verbatim as the reference."""
+    nbrs: dict[int, set[int]] = {y: set() for y in range(f.n)}
+    looped: set[int] = set()
+    for e in f.edges:
+        if e.u == e.v:
+            looped.add(e.u)
+        else:
+            nbrs[e.u].add(e.v)
+            nbrs[e.v].add(e.u)
+    return nbrs, looped
+
+
+def test_fgraph_facts_match_references():
+    rng = random.Random(30)
+    loops = twos = 0
+    for _ in range(300):
+        f = permutation_fgraph(rng.randrange(1, 40), rng)
+        assert f.cycles == fgraph_cycles_walk(f)
+        nbrs, looped = f_neighbors_reference(f)
+        assert f.neighbors == tuple(frozenset(nbrs[y]) for y in range(f.n))
+        assert f.looped == looped
+        loops += bool(looped)
+        twos += any(len(c) == 2 for c in f.cycles)
+    assert loops and twos
+
+
 def test_triple_system_validation():
     with pytest.raises(ValueError):
         TripleSystem(((0, 2, 1),))
@@ -196,8 +249,6 @@ def test_is_spread_on_nine_cycle():
     assert not is_spread(f, (0,))
     assert not is_spread(f, (0, 4))
     assert not is_spread(f, ())
-    with pytest.raises(ValueError):
-        is_spread(f, (0, 1, 5), orientation=0)
 
 
 def test_is_spread_direction_invariant():
@@ -206,8 +257,8 @@ def test_is_spread_direction_invariant():
         n = rng.randrange(4, 16)
         f = permutation_fgraph(n, rng)
         members = [y for y in range(n) if rng.random() < 0.4]
-        fwd = is_spread(f, members, orientation=1)
-        assert fwd == is_spread(f, members, orientation=-1)
+        reversed_f = FGraph(n, tuple(FEdge(e.v, e.u) for e in f.edges))
+        assert is_spread(f, members) == is_spread(reversed_f, members)
 
 
 def test_find_independent_matches_brute_force():
@@ -448,6 +499,39 @@ def test_factor_rejects_bad_mixed():
             g, cert, mixed=MixedTransversal((0, 1, 5), (TransversalPart((0, 1, 2), "chained"),)))
 
 
+def test_factor_rejects_parts_that_split_a_component():
+    # The nine-cycle's link structure is one F* component, so every part
+    # set but the single part splits it: each member choice, split and
+    # case per part either builds a verified factor or is a ValueError,
+    # never an InvariantError.
+    g = nine_cycle_instance()
+    cert = search_full_3regular(g)
+    f, ts = build_f(g, cert)
+    assert len(fstar_components(f, ts)) == 1
+    split_parts = TransversalPart((0,), "independent"), TransversalPart((1, 2), "independent")
+    with pytest.raises(ValueError, match=r"^parts split an F\* component$"):
+        factor_from_mixed_transversal(g, cert, mixed=MixedTransversal((0, 1, 5), split_parts))
+    splits = [((0, 1, 2),), ((0,), (1, 2)), ((1,), (0, 2)), ((2,), (0, 1)), ((0,), (1,), (2,))]
+    built = rejected = 0
+    for members in itertools.product(*ts.triples):
+        for split in splits:
+            for cases in itertools.product(("independent", "spread"), repeat=len(split)):
+                mixed = MixedTransversal(members, tuple(map(TransversalPart, split, cases)))
+                if len(split) > 1:
+                    with pytest.raises(ValueError, match="split"):
+                        factor_from_mixed_transversal(g, cert, mixed=mixed)
+                    continue
+                try:
+                    factor = factor_from_mixed_transversal(g, cert, mixed=mixed)
+                except ValueError as exc:
+                    assert str(exc).startswith("part ")
+                    rejected += 1
+                else:
+                    assert check_proper_path_factor(g, factor)
+                    built += 1
+    assert built and rejected and built + rejected == 2 * 27
+
+
 def test_two_eight_triples_instance():
     g, factor = two_eight_triples()
     assert (g.x_count, g.y_count, g.edge_count) == (16, 12, 48)
@@ -495,10 +579,43 @@ def test_forced_spread_part_is_rejected_exactly_when_not_spread():
     assert outcomes == {True, False}
 
 
+def test_factors_pinned_on_core_pool_and_random_cores(monkeypatch):
+    # sha256 of the factors factor_from_mixed_transversal builds on the
+    # planted cores of the first 12 rounds of the benchmark's seed-7
+    # transversal_core pool and on 300 seeded random_core_admitting
+    # graphs, on the latter also from one forced spread part over all
+    # triples wherever a spread transversal exists; computed when the
+    # assembly still keyed outside edges by (x, y) pairs.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    from interval6.bigraph import from_json
+
+    pool = [from_json(inst.args[0]) for inst in workloads.build_pool("transversal_core", 7, rounds=12)
+            if inst.pipeline is workloads.run_core]
+    rng = random.Random(29)
+    cores = [random_core_admitting(rng.randrange(2, 13), rng) for _ in range(300)]
+    digest = hashlib.sha256()
+    forced = 0
+    for g, force in [(g, False) for g in pool] + [(g, True) for g in cores]:
+        cert = search_full_3regular(g, max_nodes=workloads.CORE_MAX_NODES)
+        factors = [factor_from_mixed_transversal(g, cert)]
+        f, ts = build_f(g, cert)
+        spread = find_spread_transversal(f, ts) if force else None
+        if spread is not None:
+            whole = TransversalPart(tuple(range(len(ts.triples))), "spread")
+            factors.append(factor_from_mixed_transversal(g, cert, mixed=MixedTransversal(spread, (whole,))))
+            forced += 1
+        for factor in factors:
+            paths = factor and [([v.label for v in p.vertices], p.edges) for p in factor.paths]
+            digest.update(repr(paths).encode() + b"\n")
+    assert (len(pool), forced) == (48, 229)
+    assert digest.hexdigest() == "9ce8f50f5c192bec7ce5d4e94dcdd6932d5a810a887d984f96863d7f54f5700d"
+
+
 def independent_for_recursive(f, ts, idxs):
     """The recursive `_independent_for` the explicit-stack search replaced,
     kept verbatim as the reference whose answers it must reproduce."""
-    nbrs, looped = _f_neighbors(f)
+    nbrs, looped = f_neighbors_reference(f)
     domains = {i: [y for y in ts.triples[i] if y not in looped] for i in idxs}
     chosen: dict[int, int] = {}
 
@@ -580,7 +697,7 @@ def assert_searches_match_reference(f, ts):
     for idxs, comp in runs.items():
         got = _independent_for(f, ts, idxs)
         assert got == independent_for_recursive(f, ts, idxs)
-        spread = _spread_for(f, ts, idxs, comp)
+        spread = _spread_for(f, ts, idxs)
         assert spread == spread_for_recursive(f, ts, idxs, comp)
         seen.add((got is not None, spread is not None))
     return seen
@@ -661,9 +778,8 @@ def test_spread_search_does_not_recurse():
 
 def hall_refutes_for(f, ts, idxs):
     """`_hall_refutes` on the triples `idxs`, set up as `_independent_for` does."""
-    nbrs, looped = _f_neighbors(f)
-    domains = [[y for y in ts.triples[i] if y not in looped] for i in sorted(idxs)]
-    return _hall_refutes(f, ts, domains, nbrs)
+    domains = [[y for y in ts.triples[i] if y not in f.looped] for i in sorted(idxs)]
+    return _hall_refutes(f, ts, domains)
 
 
 def index_sets(f, ts):
@@ -738,6 +854,22 @@ def test_mixed_transversal_decided_at_scale():
     with recursion_limit(60):
         got, dt = timed(find_mixed_transversal, *no_mixed_transversal_instance())
     assert got is None and dt < 1.0
+
+
+def test_mixed_transversal_linear_in_components():
+    """800 components of 18 F-vertices each: deriving F's neighbors and
+    cycles again for every component took 9.2 s (2.6 s for the spread
+    obstruction), quadratic in the number of components."""
+    f, ts = disjoint_copies(*independent_obstruction(6), 800)
+    with recursion_limit(60):
+        got, dt = timed(find_mixed_transversal, f, ts)
+    assert dt < 1.0
+    assert [p.case for p in got.parts] == ["spread"] * 800 and is_spread(f, got.members)
+    f, ts = disjoint_copies(*spread_obstruction(2), 800)
+    with recursion_limit(60):
+        got, dt = timed(find_mixed_transversal, f, ts)
+    assert dt < 1.0
+    assert [p.case for p in got.parts] == ["independent"] * 800
 
 
 def kuhn_round_recursive(xs, rem):
