@@ -206,6 +206,41 @@ def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
     return [[node_vertex(n, v) for v in comp] for comp in _node_components(g.node_adj)]
 
 
+def _circuit(adj: Sequence[Sequence[tuple[int, int]]], used: bytearray, ptr: list[int], start: int,
+             out: list[int], inside: bytearray | None = None) -> int:
+    """Hierholzer's walk from `start` through every unused edge of its
+    component, appended to `out` as edge ids in reverse walk order. A node
+    leaves by its first unused edge in `adj` order; `used` and the scan
+    positions `ptr` may be shared across starts. With `inside`, the walk
+    stops at the first node it reaches outside it and returns that node;
+    otherwise it returns -1."""
+    nodes = [start]  # the walk's open stack; entries[i] led to nodes[i + 1]
+    entries: list[int] = []
+    v = start
+    while True:
+        a = adj[v]
+        p = ptr[v]
+        d = len(a)
+        while p < d and used[a[p][0]]:
+            p += 1
+        if p < d:
+            eid, w = a[p]
+            ptr[v] = p + 1
+            used[eid] = 1
+            if inside is not None and not inside[w]:
+                return w
+            nodes.append(w)
+            entries.append(eid)
+            v = w
+        else:
+            ptr[v] = p
+            nodes.pop()
+            if not entries:
+                return -1
+            out.append(entries.pop())
+            v = nodes[-1]
+
+
 def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex]) -> list[int]:
     """Closed walk through every edge of one component, as edge ids.
 
@@ -225,33 +260,14 @@ def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex]) -> lis
     carriers = [u for u in nodes if adj[u]]
     if not carriers:
         return []
-    inside = [False] * len(adj)
+    inside = bytearray(len(adj))
     for u in nodes:
-        inside[u] = True
-    ptr = [0] * len(adj)
-    used = [False] * g.edge_count
-    total = sum(len(adj[u]) for u in carriers) // 2
-
-    stack: list[tuple[int, int]] = [(carriers[0], -1)]  # (node, entry edge)
+        inside[u] = 1
     rev: list[int] = []
-    while stack:
-        v, entry = stack[-1]
-        if not inside[v]:
-            raise ValueError(f"edge leaves the given component at {node_vertex(n, v).label}")
-        a = adj[v]
-        p = ptr[v]
-        while p < len(a) and used[a[p][0]]:
-            p += 1
-        ptr[v] = p
-        if p == len(a):
-            stack.pop()
-            if entry >= 0:
-                rev.append(entry)
-        else:
-            eid, w = a[p]
-            used[eid] = True
-            stack.append((w, eid))
-    if len(rev) != total:
+    left = _circuit(adj, bytearray(g.edge_count), [0] * len(adj), carriers[0], rev, inside)
+    if left >= 0:
+        raise ValueError(f"edge leaves the given component at {node_vertex(n, left).label}")
+    if len(rev) != sum(len(adj[u]) for u in carriers) // 2:
         raise ValueError("component argument is not connected")
     rev.reverse()
     return rev

@@ -40,13 +40,6 @@ class Path:
     def length(self) -> int:
         return len(self.edges)
 
-    def interleaved(self) -> list:
-        out: list = [self.vertices[0]]
-        for eid, v in zip(self.edges, self.vertices[1:]):
-            out.append(eid)
-            out.append(v)
-        return out
-
 
 @dataclass(frozen=True)
 class PathFactor:
@@ -220,22 +213,40 @@ def check_full_3regular(g: BipartiteMultigraph, cert: SubgraphCertificate) -> bo
 # labels at even positions, edge ids at odd ones.
 
 def factor_to_dict(factor: PathFactor) -> dict:
-    return {
-        "paths": [
-            [item if isinstance(item, int) else item.label for item in p.interleaved()]
-            for p in factor.paths
-        ]
-    }
+    paths = []
+    for p in factor.paths:
+        seq: list = [None] * (2 * len(p.edges) + 1)
+        seq[::2] = [f"{side.lower()}{index}" for side, index in p.vertices]  # Vertex.label
+        seq[1::2] = p.edges
+        paths.append(seq)
+    return {"paths": paths}
+
+
+_SIDES = {"x": "X", "y": "Y"}
 
 
 def factor_from_dict(d: dict) -> PathFactor:
+    """The factor a factor_to_dict() object describes. Plain labels and int
+    edge ids are read directly; anything else goes through parse_vertex or
+    _strict_int, which reject it with their own messages."""
     paths = []
     try:
         for seq in d["paths"]:
             if len(seq) % 2 == 0 or len(seq) < 3:
                 raise ValueError(f"path array of length {len(seq)} cannot alternate vertex/edge")
-            verts = [parse_vertex(item) for item in seq[::2]]
-            eids = [_strict_int(item, f"edge id at position {i}") for i, item in enumerate(seq) if i % 2]
+            verts = []
+            for item in seq[::2]:
+                if type(item) is str:
+                    side = _SIDES.get(item[:1])
+                    digits = item[1:]
+                    if side and digits.isascii() and digits.isdigit() and (digits[0] != "0" or len(digits) == 1):
+                        verts.append(Vertex(side, int(digits)))
+                        continue
+                verts.append(parse_vertex(item))
+            eids = seq[1::2]
+            for i, item in enumerate(eids):
+                if type(item) is not int:
+                    _strict_int(item, f"edge id at position {2 * i + 1}")
             paths.append(Path(tuple(verts), tuple(eids)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed factor object: {exc}") from exc

@@ -13,32 +13,36 @@ Eulerian parity classes, and stitch pairs of those paths through the
 peeled vertices into length-6 paths. It runs once, with no retries: a
 parity class of an Euler circuit gives every degree-2 vertex degree 1,
 so the two paths a peeled vertex joins are always distinct.
-`search_proper_path_factor` and
-`search_full_3regular` are bounded exhaustive searches used when no
-structure is known. Neither recurses: `search_full_3regular` (like
-`find_y_cover`) runs the explicit-stack exact cover `_exact_cover`, and
-`search_proper_path_factor` grows paths from pivot vertices in one
-explicit-stack loop over integer node ids, counting one node per pivot
-choice and per arm end, and stopping at the node past its cap.
+
+Both half factors come from one linear kernel, `_half_pairs`: Hierholzer's
+walk (`bigraph._circuit`) over every component of a (2,4)-biregular edge
+list on node ids, with one shared used/pointer array, returning each
+Y-centre's two edges. `p7_factor_via_24` peels the cover in one pass over
+`g.edges` and builds `Vertex`/`Path` objects only for the factor it
+returns; `p3_half_factor` wraps the same kernel.
+
+`search_proper_path_factor` and `search_full_3regular` are bounded
+exhaustive searches used when no structure is known. Neither recurses:
+`search_full_3regular` (like `find_y_cover`) runs the explicit-stack
+exact cover `_exact_cover`, and `search_proper_path_factor` grows paths
+from pivot vertices in one explicit-stack loop over integer node ids,
+counting one node per pivot choice and per arm end, and stopping at the
+node past its cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .bigraph import (
     BipartiteMultigraph,
     Vertex,
+    _circuit,
     _node_components,
     _trail,
     biregular34_k,
-    build,
-    components,
-    delete_y,
-    eulerian_circuit,
-    is_biregular,
     node_vertex,
     xv,
     yv,
@@ -219,6 +223,41 @@ def two_color_pgraph(pg: PGraph) -> dict[int, str]:
     return color
 
 
+def _half_pairs(x_count: int, y_count: int, edges: Sequence[tuple[int, int]], parity: int) -> list[tuple[int, int]]:
+    """Per Y-vertex, its two edge ids in parity class `parity`, lower X-end first.
+
+    `edges` lists a (2,4)-biregular graph's (x, y) pairs by edge id; node
+    ids are X-vertex i as i and Y-vertex j as x_count + j, each node's
+    edges in edge-id order. Every component's circuit starts at its lowest
+    node, an X-vertex, and has even length, so the reversed circuits laid
+    end to end keep each circuit's parity classes.
+    """
+    n = x_count
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + y_count)]
+    for eid, (x, y) in enumerate(edges):
+        adj[x].append((eid, n + y))
+        adj[n + y].append((eid, x))
+    degrees = list(map(len, adj))
+    if degrees[:n].count(2) != n or degrees[n:].count(4) != y_count:
+        raise ValueError("graph is not (2,4)-biregular")
+    used = bytearray(len(edges))
+    ptr = [0] * len(adj)
+    rev: list[int] = []
+    for start in range(n):
+        if ptr[start] == 0:  # not yet on a walked component
+            _circuit(adj, used, ptr, start, rev)
+    # circuit position i sits at an index of the other parity in its reversal
+    at_y: list[list[int]] = [[] for _ in range(y_count)]
+    x_hits = [0] * n
+    for eid in rev[1 - parity :: 2]:
+        x, y = edges[eid]
+        x_hits[x] += 1
+        at_y[y].append(eid)
+    if x_hits.count(1) != n or any(len(two) != 2 for two in at_y):
+        raise InvariantError("parity class is not a half factor")
+    return [(e1, e2) if edges[e1][0] < edges[e2][0] else (e2, e1) for e1, e2 in at_y]
+
+
 def p3_half_factor(h: BipartiteMultigraph, parity: int = 0) -> HalfFactor:
     """One parity class of per-component Eulerian circuits of a (2,4)-biregular graph.
 
@@ -231,32 +270,11 @@ def p3_half_factor(h: BipartiteMultigraph, parity: int = 0) -> HalfFactor:
     """
     if parity not in (0, 1):
         raise ValueError("parity is 0 or 1")
-    if not is_biregular(h, 2, 4):
-        raise ValueError("graph is not (2,4)-biregular")
-    chosen: set[int] = set()
-    for comp in components(h):
-        circuit = eulerian_circuit(h, comp)
-        chosen.update(circuit[parity::2])
-
-    xdeg = [0] * h.x_count
-    ydeg = [0] * h.y_count
-    at_y: dict[int, list[int]] = {}
-    for eid in chosen:
-        x, y = h.edges[eid]
-        xdeg[x] += 1
-        ydeg[y] += 1
-        at_y.setdefault(y, []).append(eid)
-    if any(d != 1 for d in xdeg) or any(d != 2 for d in ydeg):
-        raise InvariantError("parity class is not a half factor")
-    paths = []
-    for y in sorted(at_y):
-        e1, e2 = sorted(at_y[y])
-        a, b = h.edges[e1][0], h.edges[e2][0]
-        if a > b:
-            a, b = b, a
-            e1, e2 = e2, e1
-        paths.append(Path((xv(a), yv(y), xv(b)), (e1, e2)))
-    return HalfFactor(frozenset(chosen), tuple(paths))
+    pairs = _half_pairs(h.x_count, h.y_count, h.edges, parity)
+    paths = tuple(
+        Path((xv(h.edges[e1][0]), yv(y), xv(h.edges[e2][0])), (e1, e2)) for y, (e1, e2) in enumerate(pairs)
+    )
+    return HalfFactor(frozenset(e for pair in pairs for e in pair), paths)
 
 
 def _exact_cover(
@@ -365,40 +383,51 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     cover = find_y_cover(g, max_nodes=max_nodes)
     if cover is None:
         return None
-    h, h_edges, h_ys = delete_y(g, cover)
-    base = p3_half_factor(h)
+    n, edges = g.x_count, g.edges
+    cover = sorted(cover)
+    on_cover = bytearray(g.y_count)
+    for j in cover:
+        on_cover[j] = 1
+    # per Y-vertex: its index in `cover`, or else in the peeled graph
+    seen = [0, 0]
+    slot = []
+    for c in on_cover:
+        slot.append(seen[c])
+        seen[c] += 1
+    rest = seen[0]
+
+    # one pass over g: the peeled graph's edges (and their ids in g), and
+    # every X-vertex's edge into the cover
+    peeled: list[tuple[int, int]] = []
+    peeled_ids: list[int] = []
+    contact = [0] * n
+    for eid, (x, y) in enumerate(edges):
+        if on_cover[y]:
+            contact[x] = eid
+        else:
+            peeled.append((x, slot[y]))
+            peeled_ids.append(eid)
+    # _half_pairs checks the peeled graph's degrees, so each X-vertex has
+    # exactly one edge into the cover
 
     # per X-vertex x: the index of the half-factor path T that x ends, and
-    # T in g's ids, oriented to end at x
-    t_of_x: dict[int, int] = {}
-    arm: dict[int, tuple[list[Vertex], list[int]]] = {}
-    for ti, p in enumerate(base.paths):
-        a, y, b = p.vertices
-        ea, eb = (h_edges[e] for e in p.edges)
-        mid = yv(h_ys[y.index])
-        t_of_x[a.index] = t_of_x[b.index] = ti
-        arm[a.index] = ([b, mid, a], [eb, ea])
-        arm[b.index] = ([a, mid, b], [ea, eb])
-    cover_sorted = sorted(cover)
-    cover_index = {j: jj for jj, j in enumerate(cover_sorted)}
-    contact: list[tuple[int, int]] = []  # (g edge id, cover position) per X-vertex
-    for x in range(g.x_count):
-        into = [(eid, cover_index[j]) for eid, j in g.x_adj[x] if j in cover_index]
-        if len(into) != 1:
-            raise InvariantError(f"x{x} has {len(into)} edges into the cover")
-        contact.append(into[0])
+    # T in g's vertices and edge ids, oriented to end at x
+    t_of_x = [0] * n
+    arm: list[tuple[tuple[Vertex, ...], tuple[int, ...]]] = [((), ())] * n
+    for ti, (ea, eb) in enumerate(_half_pairs(n, rest, peeled, 0)):
+        ea, eb = peeled_ids[ea], peeled_ids[eb]
+        (a, y), b = edges[ea], edges[eb][0]
+        t_of_x[a] = t_of_x[b] = ti
+        va, vy, vb = xv(a), yv(y), xv(b)
+        arm[a] = ((vb, vy, va), (eb, ea))
+        arm[b] = ((va, vy, vb), (ea, eb))
 
     # contracted edge id == X-vertex index of g
-    pairs = [(t_of_x[x], cj) for x, (_, cj) in enumerate(contact)]
-    contracted = build(len(base.paths), len(cover_sorted), pairs)
+    contracted = [(t_of_x[x], slot[edges[eid][1]]) for x, eid in enumerate(contact)]
     paths = []
-    for p in p3_half_factor(contracted).paths:
-        x_i, x_j = p.edges
+    for cj, (x_i, x_j) in enumerate(_half_pairs(rest, len(cover), contracted, 0)):
         (vi, ei), (vj, ej) = arm[x_i], arm[x_j]
-        u = yv(cover_sorted[p.vertices[1].index])
-        verts = vi + [u] + vj[::-1]
-        eids = ei + [contact[x_i][0], contact[x_j][0]] + ej[::-1]
-        paths.append(Path(tuple(verts), tuple(eids)))
+        paths.append(Path(vi + (yv(cover[cj]),) + vj[::-1], ei + (contact[x_i], contact[x_j]) + ej[::-1]))
     factor = PathFactor(tuple(paths))
     why = path_factor_violation(g, factor)
     if why is not None:

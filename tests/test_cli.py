@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 
-from helpers import disjoint_k43, random_core_admitting
+from helpers import disjoint_k43, random_core_admitting, random_cover_admitting
 
 from interval6 import cli
 from interval6.bigraph import from_json, is_simple, to_json
@@ -125,6 +125,16 @@ def test_factor_transversal_output_pinned(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ea97d92f1df7e7bdf90a7fda8d3a73b8873512d900eeb0518549fd536f0c3d90")
+
+
+def test_factor_via24_output_pinned(capsys, tmp_path):
+    # factor and report as the Vertex-graph pipeline (delete_y, build, per-component circuits) wrote them
+    gpath = tmp_path / "cover.json"
+    gpath.write_text(to_json(random_cover_admitting(50, random.Random(12))))
+    code, out, err = run(capsys, "factor", "--in", str(gpath), "--method", "via24", "--out", "-")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4519094da96c98cfb6bb2e62c4f9a1fb86ff4ff441d9787b3f4f8a1a846bd8d8")
 
 
 def test_factor_transversal_budget_stop(capsys, tmp_path):
