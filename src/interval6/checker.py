@@ -63,12 +63,15 @@ class SubgraphCertificate:
 
 
 def _validate_coloring(g: BipartiteMultigraph, coloring: EdgeColoring) -> None:
-    if len(coloring.colors) != g.edge_count:
-        missing = list(range(len(coloring.colors), g.edge_count))
+    colors, palette = coloring.colors, coloring.palette_size
+    if len(colors) > g.edge_count:
+        raise ValueError(f"coloring covers {len(colors)} edges, graph has {g.edge_count}")
+    if len(colors) < g.edge_count:
+        missing = list(range(len(colors), g.edge_count))
         raise ValueError(f"partial coloring: edges {missing} uncolored")
-    bad = [eid for eid, c in enumerate(coloring.colors) if not (1 <= c <= coloring.palette_size)]
-    if bad:
-        raise ValueError(f"colors outside 1..{coloring.palette_size} on edges {bad}")
+    if colors and not (1 <= min(colors) and max(colors) <= palette):
+        bad = [eid for eid, c in enumerate(colors) if not (1 <= c <= palette)]
+        raise ValueError(f"colors outside 1..{palette} on edges {bad}")
 
 
 def vertex_colors(g: BipartiteMultigraph, coloring: EdgeColoring, v: Vertex) -> list[int]:
@@ -259,10 +262,11 @@ def coloring_to_dict(coloring: EdgeColoring) -> dict:
 
 def coloring_from_dict(d: dict) -> EdgeColoring:
     try:
-        return EdgeColoring(
-            tuple(_strict_int(c, "color") for c in d["colors"]),
-            _strict_int(d["palette_size"], "palette_size"),
-        )
+        colors = tuple(d["colors"])
+        if not set(map(type, colors)) <= {int}:  # a bool or float fails; _strict_int names the first
+            for c in colors:
+                _strict_int(c, "color")
+        return EdgeColoring(colors, _strict_int(d["palette_size"], "palette_size"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coloring object: {exc}") from exc
 

@@ -10,21 +10,28 @@ block: interior A-vertices see {1,2,3}, interior B-vertices {4,5,6},
 factor endpoints {2,3,4} or {3,4,5}, and Y-vertices one of {1,2,3,4},
 {2,3,4,5}, {3,4,5,6}.
 
-The construction double-checks its own output and raises InvariantError
-rather than return a bad coloring.
+The construction runs on the node-id kernels of `pathfactor`: the
+leftover split (`_leftover`, which also checks the graph and the factor),
+the link graph over X ids (`_link_graph`) and its breadth-first
+2-coloring into a side array (`_two_color`). Colors are written straight
+into one list, and no `Vertex` or `Path` object is built. It
+double-checks its own output (every edge colored, factor edges in
+{1, 2, 5, 6} and leftover edges in {3, 4}, the interval property) and
+raises InvariantError rather than return a bad coloring.
 """
 
 from __future__ import annotations
 
 from .bigraph import BipartiteMultigraph, Vertex
 from .checker import (
+    FACTOR_LENGTHS,
     EdgeColoring,
     PathFactor,
     interval_violation,
     vertex_colors,
 )
 from .errors import InvariantError
-from .pathfactor import _pgraph_from_q, build_q, two_color_pgraph
+from .pathfactor import _leftover, _link_graph, _two_color
 
 PALETTE = 6
 FACTOR_COLORS = frozenset({1, 2, 5, 6})
@@ -48,44 +55,50 @@ def _factor_path_colors(length: int, a_interior: int) -> list[int]:
     return out
 
 
+# _FACTOR_RUNS[length][t]: _factor_path_colors for every t a path of that length can have
+_FACTOR_RUNS = {length: [_factor_path_colors(length, t) for t in range(length // 2)] for length in FACTOR_LENGTHS}
+# per color: 1 for a factor color, 0 for a leftover color, 2 for neither
+_COLOR_KIND = bytes(1 if c in FACTOR_COLORS else 0 if c in LEFTOVER_COLORS else 2 for c in range(256))
+
+
 def color_from_factor(g: BipartiteMultigraph, factor: PathFactor) -> EdgeColoring:
     """Interval 6-coloring built from a proper path factor."""
-    qd = build_q(g, factor)  # also checks the graph and the factor
-    side = two_color_pgraph(_pgraph_from_q(factor, qd))
+    on_factor, cycles, q_paths = _leftover(g, factor)  # also checks the graph and the factor
+    inner, links = _link_graph(g.x_count, factor, q_paths)
+    side = [0] * g.x_count  # link-graph side per X id: 1 for A, 2 for B
+    _two_color(inner, links, side)
 
     colors = [0] * len(g.edges)
 
-    for cyc in qd.cycles:
-        low = cyc.index(min(cyc))
-        for pos in range(len(cyc)):
-            colors[cyc[(low + pos) % len(cyc)]] = 3 + (pos % 2)
-
-    for qp in qd.paths:
-        eids = list(qp.edges)
-        if side[qp.vertices[0].index] != "A":
-            eids.reverse()
-        for pos, eid in enumerate(eids):
-            colors[eid] = 3 + (pos % 2)
+    # Leftover cycles and paths have even length, so 3 and 4 alternate
+    # around a cycle from its lowest edge id and along a path from its A-end.
+    runs = [(cyc, 3 + cyc.index(min(cyc)) % 2) for cyc in cycles]
+    runs += [(eids, 3 if side[nodes[0]] == 1 else 4) for nodes, eids in q_paths]
+    for eids, first in runs:
+        for eid in eids[::2]:
+            colors[eid] = first
+        for eid in eids[1::2]:
+            colors[eid] = 7 - first
 
     for p in factor.paths:
-        interior = [p.vertices[i].index for i in range(2, p.length - 1, 2)]
-        eids = list(p.edges)
-        if p.length in (2, 4):
+        eids, verts = p.edges, p.vertices
+        length = len(eids)
+        sides = [side[verts[i].index] for i in range(2, length - 1, 2)]
+        if length in (2, 4):
             if eids[0] > eids[-1]:
-                eids.reverse()
-        elif side[interior[0]] != "A":
-            eids.reverse()
-        t = sum(1 for w in interior if side[w] == "A")
-        for eid, c in zip(eids, _factor_path_colors(p.length, t)):
+                eids = eids[::-1]
+        elif sides[0] != 1:
+            eids = eids[::-1]
+        for eid, c in zip(eids, _FACTOR_RUNS[length][sides.count(1)]):
             colors[eid] = c
 
     if 0 in colors:
         raise InvariantError("construction left an edge uncolored")
-    on_factor = factor.edge_ids()
-    for eid, c in enumerate(colors):
-        want = FACTOR_COLORS if eid in on_factor else LEFTOVER_COLORS
-        if c not in want:
-            raise InvariantError(f"edge {eid} got color {c}, outside {sorted(want)}")
+    kinds = bytes(colors).translate(_COLOR_KIND)
+    if kinds != on_factor:
+        eid = next(e for e, (kind, f) in enumerate(zip(kinds, on_factor)) if kind != f)
+        want = FACTOR_COLORS if on_factor[eid] else LEFTOVER_COLORS
+        raise InvariantError(f"edge {eid} got color {colors[eid]}, outside {sorted(want)}")
     out = EdgeColoring(tuple(colors), PALETTE)
     try:
         bad = interval_violation(g, out)

@@ -4,7 +4,14 @@ Two halves live here. The first half dissects a factor of a
 (3,4)-biregular graph: the leftover subgraph (everything off the factor),
 the link graph over the factor's interior X-vertices, and the proper
 2-coloring of that link graph. Those three objects are exactly what the
-coloring construction consumes.
+coloring construction consumes, and each comes from one node-id kernel:
+`_leftover` walks the off-factor edges (an on-factor flag array,
+`bigraph._node_components` and `bigraph._trail`) into cycles and paths
+of node and edge ids, `_link_graph` builds the link graph over X ids and
+checks its degrees as array counts, and `_two_color` colors it breadth
+first into a side array. `coloring.color_from_factor` calls the kernels
+directly; `build_q`, `build_pgraph` and `two_color_pgraph` wrap them and
+build `Vertex`, `Path` and `PEdge` objects only for what they return.
 
 The second half finds factors. `p7_factor_via_24` is the constructive
 route: peel off a set of Y-vertices whose neighborhoods exactly cover X,
@@ -34,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bigraph import (
     BipartiteMultigraph,
@@ -119,6 +127,60 @@ def _factor_or_raise(g: BipartiteMultigraph, factor: PathFactor) -> None:
         raise ValueError(f"not a proper path factor: {why}")
 
 
+_FLIP = bytes([1, 0]) + bytes(254)  # bytes.translate table: flag 0 <-> 1
+
+
+def _leftover(
+    g: BipartiteMultigraph, factor: PathFactor
+) -> tuple[bytearray, list[list[int]], list[tuple[list[int], list[int]]]]:
+    """The leftover split on node ids: (on_factor, cycles, paths).
+
+    Checks the graph and the factor first. `on_factor` flags the factor's
+    edge ids; each cycle is its edge ids in walk order and each path its
+    (node ids, edge ids). Components come in order of their smallest node;
+    a cycle is walked from its smallest node and a path from its smaller
+    endpoint, always along the lowest unused edge id.
+    """
+    biregular34_k(g)
+    _factor_or_raise(g, factor)
+    n, edges = g.x_count, g.edges
+    on_factor = bytearray(len(edges))
+    for p in factor.paths:
+        for eid in p.edges:
+            on_factor[eid] = 1
+    # leftover edges at every node id, as (edge id, other end) in edge-id order
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + g.y_count)]
+    for eid in compress(range(len(edges)), on_factor.translate(_FLIP)):
+        x, y = edges[eid]
+        y += n
+        adj[x].append((eid, y))
+        adj[y].append((eid, x))
+    used = bytearray(len(edges))
+
+    def vertices(nodes: list[int]) -> list[Vertex]:
+        return [node_vertex(n, u) for u in nodes]
+
+    cycles: list[list[int]] = []
+    paths: list[tuple[list[int], list[int]]] = []
+    for comp in _node_components(adj):
+        if len(comp) == 1:  # the graph is bipartite, so only a node with no edges is alone
+            raise InvariantError(f"leftover graph has an isolated vertex in {vertices(comp)}")
+        ones = [u for u in comp if len(adj[u]) == 1]
+        if not ones:
+            nodes, eids = _trail(adj, used, comp[0])
+            if nodes[0] != nodes[-1] or len(eids) % 2:
+                raise InvariantError("leftover component is not an even closed walk")
+            cycles.append(eids)
+        else:
+            if len(ones) != 2 or ones[1] >= n:  # ones is sorted
+                raise InvariantError(f"leftover path must join two X-vertices, got {vertices(ones)}")
+            nodes, eids = _trail(adj, used, ones[0])
+            if nodes[-1] != ones[1]:
+                raise InvariantError("leftover path walk did not reach the other endpoint")
+            paths.append((nodes, eids))
+    return on_factor, cycles, paths
+
+
 def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
     """Split the off-factor edges into even cycles and X-to-X paths.
 
@@ -126,75 +188,89 @@ def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
     from its smallest vertex and a path from its smaller endpoint, always
     along the lowest unused edge id.
     """
-    biregular34_k(g)
-    _factor_or_raise(g, factor)
+    _, cycles, paths = _leftover(g, factor)
     n = g.x_count
-    on_factor = bytearray(g.edge_count)
+    return QDecomposition(
+        tuple(map(tuple, cycles)),
+        tuple(Path(tuple(node_vertex(n, u) for u in nodes), tuple(eids)) for nodes, eids in paths),
+    )
+
+
+def _link_graph(
+    x_count: int, factor: PathFactor, q_paths: list[tuple[list[int], list[int]]]
+) -> tuple[list[int], list[tuple[int, int, str]]]:
+    """The link graph of `factor` as (sorted interior X ids, (u, v, kind) edges); see PGraph.
+
+    `q_paths` are the leftover paths as `_leftover` gives them. Raises
+    InvariantError when a link edge touches a vertex that is not
+    factor-interior, or a vertex's (c)-degree is not 1 or its (a)+(b)-degree
+    is above 1.
+    """
+    inner: list[int] = []
+    links: list[tuple[int, int, str]] = []
     for p in factor.paths:
-        for eid in p.edges:
-            on_factor[eid] = 1
-    # leftover edges at every node id, as (edge id, other end) in edge-id order
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + g.y_count)]
-    for eid, (x, y) in enumerate(g.edges):
-        if not on_factor[eid]:
-            adj[x].append((eid, n + y))
-            adj[n + y].append((eid, x))
-    used = bytearray(g.edge_count)
+        verts = p.vertices
+        length = len(p.edges)
+        ids = [verts[i].index for i in range(2, length - 1, 2)]
+        inner.extend(ids)
+        if length == 6:
+            links.append((ids[0], ids[1], "a"))
+        elif length == 8:
+            links.append((ids[0], ids[2], "b"))
+    for nodes, _ in q_paths:
+        links.append((nodes[0], nodes[-1], "c"))
+    inner.sort()
 
-    def vertices(nodes: list[int]) -> list[Vertex]:
-        return [node_vertex(n, u) for u in nodes]
+    is_inner = bytearray(x_count)
+    for u in inner:
+        is_inner[u] = 1
+    degree = {kind: [0] * x_count for kind in "abc"}
+    for u, v, kind in links:
+        for end in (u, v):
+            if not is_inner[end]:
+                raise InvariantError(f"link edge touches non-interior vertex x{end}")
+            degree[kind][end] += 1
+    a, b, c = degree["a"], degree["b"], degree["c"]
+    for u in inner:
+        if c[u] != 1 or a[u] + b[u] > 1:
+            counts = {kind: degree[kind][u] for kind in "abc"}
+            raise InvariantError(f"vertex x{u} has link degrees {counts}")
+    return inner, links
 
-    cycles: list[tuple[int, ...]] = []
-    paths: list[Path] = []
-    for comp in _node_components(adj):
-        if any(not adj[u] for u in comp):
-            raise InvariantError(f"leftover graph has an isolated vertex in {vertices(comp)}")
-        ones = [u for u in comp if len(adj[u]) == 1]
-        if not ones:
-            nodes, eids = _trail(adj, used, comp[0])
-            if nodes[0] != nodes[-1] or len(eids) % 2:
-                raise InvariantError("leftover component is not an even closed walk")
-            cycles.append(tuple(eids))
-        else:
-            if len(ones) != 2 or any(u >= n for u in ones):
-                raise InvariantError(f"leftover path must join two X-vertices, got {vertices(ones)}")
-            nodes, eids = _trail(adj, used, ones[0])
-            if nodes[-1] != ones[1]:
-                raise InvariantError("leftover path walk did not reach the other endpoint")
-            paths.append(Path(tuple(vertices(nodes)), tuple(eids)))
-    return QDecomposition(tuple(cycles), tuple(paths))
+
+def _two_color(
+    vertices: Sequence[int], links: Iterable[tuple[int, int, str]], side: list[int] | dict[int, int]
+) -> None:
+    """Proper 2-coloring of a link graph, written into `side` (1 for A, 2 for B).
+
+    `side[u]` is 0 for every vertex before the call; `side` may be a list
+    over X ids or a dict over `vertices`. Breadth first from each
+    uncolored vertex in `vertices` order, which gets A; a bipartite
+    component has exactly one such coloring.
+    """
+    adj: dict[int, list[int]] = {u: [] for u in vertices}
+    for u, v, _ in links:
+        adj[u].append(v)
+        adj[v].append(u)
+    for root in vertices:
+        if side[root]:
+            continue
+        side[root] = 1
+        queue = [root]
+        for u in queue:  # breadth first: the queue only grows
+            for w in adj[u]:
+                if not side[w]:
+                    side[w] = 3 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    raise InvariantError(f"odd cycle in link graph at x{u}, x{w}")
 
 
 def build_pgraph(g: BipartiteMultigraph, factor: PathFactor) -> PGraph:
     """Link graph of a factor; see PGraph. Computes the leftover split itself."""
-    return _pgraph_from_q(factor, build_q(g, factor))
-
-
-def _pgraph_from_q(factor: PathFactor, qd: QDecomposition) -> PGraph:
-    """Link graph of a factor whose leftover split `qd` is already built."""
-    vertices: list[int] = []
-    edges: list[PEdge] = []
-    for p in factor.paths:
-        interior = [p.vertices[i].index for i in range(2, p.length - 1, 2)]
-        vertices.extend(interior)
-        if p.length == 6:
-            edges.append(PEdge(interior[0], interior[1], "a"))
-        elif p.length == 8:
-            edges.append(PEdge(interior[0], interior[2], "b"))
-    for qp in qd.paths:
-        edges.append(PEdge(qp.vertices[0].index, qp.vertices[-1].index, "c"))
-
-    pg = PGraph(tuple(sorted(vertices)), tuple(edges))
-    counts: dict[int, dict[str, int]] = {u: {"a": 0, "b": 0, "c": 0} for u in pg.vertices}
-    for e in pg.edges:
-        for end in (e.u, e.v):
-            if end not in counts:
-                raise InvariantError(f"link edge touches non-interior vertex x{end}")
-            counts[end][e.kind] += 1
-    for u, c in counts.items():
-        if c["c"] != 1 or c["a"] + c["b"] > 1:
-            raise InvariantError(f"vertex x{u} has link degrees {c}")
-    return pg
+    _, _, q_paths = _leftover(g, factor)
+    inner, links = _link_graph(g.x_count, factor, q_paths)
+    return PGraph(tuple(inner), tuple(PEdge(*e) for e in links))
 
 
 def two_color_pgraph(pg: PGraph) -> dict[int, str]:
@@ -203,24 +279,9 @@ def two_color_pgraph(pg: PGraph) -> dict[int, str]:
     Breadth first from the lowest uncolored vertex, which gets A; a
     bipartite component has exactly one such coloring.
     """
-    color: dict[int, str] = {}
-    adj: dict[int, list[int]] = {u: [] for u in pg.vertices}
-    for e in pg.edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    for root in pg.vertices:
-        if root in color:
-            continue
-        color[root] = "A"
-        queue = [root]
-        for u in queue:  # breadth first: the queue only grows
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = "B" if color[u] == "A" else "A"
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise InvariantError(f"odd cycle in link graph at x{u}, x{w}")
-    return color
+    side = dict.fromkeys(pg.vertices, 0)
+    _two_color(pg.vertices, pg.edges, side)
+    return {u: "AB"[s - 1] for u, s in side.items()}
 
 
 def _half_pairs(x_count: int, y_count: int, edges: Sequence[tuple[int, int]], parity: int) -> list[tuple[int, int]]:
@@ -359,11 +420,10 @@ def find_y_cover(g: BipartiteMultigraph, max_nodes: int | None = None) -> tuple[
     raises BudgetExceeded, so None always means no cover exists.
     """
     biregular34_k(g)
-    cands = []
-    for j in range(g.y_count):
-        nbrs = frozenset(i for _, i in g.y_adj[j])
-        if len(nbrs) == 4:
-            cands.append((j, nbrs))
+    at_y: list[list[int]] = [[] for _ in range(g.y_count)]
+    for x, y in g.edges:
+        at_y[y].append(x)
+    cands = [(j, nbrs) for j, nbrs in enumerate(map(frozenset, at_y)) if len(nbrs) == 4]
     return _exact_cover(g.x_count, cands, max_nodes=max_nodes)
 
 

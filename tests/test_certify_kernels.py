@@ -1,20 +1,25 @@
 """The node-id certificate kernels against the `Vertex` code they replaced.
 
-`checker.path_factor_violation`, `pathfactor.build_q` and
-`checker._coloring_scan` run over integer node ids, flag arrays and color
-bitmasks. The `Vertex`-based versions below are the direct readings of
-the definitions they replaced, kept only as references: on every factor
-and coloring, valid or mutated, both must return equal results or raise
-the same exception type with the same message.
+`checker.path_factor_violation`, `pathfactor.build_q`,
+`checker._coloring_scan` and `coloring.color_from_factor` (with
+`build_pgraph` and `two_color_pgraph`) run over integer node ids, flag
+arrays and color bitmasks; `checker.coloring_from_dict` and
+`checker._validate_coloring` check types and ranges in whole-sequence
+passes. The versions below are the direct readings of the definitions
+they replaced, kept only as references: on every factor and coloring,
+valid or mutated, both must return equal results or raise the same
+exception type with the same message.
 """
 
+import hashlib
 import random
+import re
 
 import pytest
 from helpers import random_core_admitting, random_cover_admitting
 
 from interval6 import pathfactor
-from interval6.bigraph import BipartiteMultigraph, Vertex, biregular34_k, xv, yv
+from interval6.bigraph import BipartiteMultigraph, Vertex, _strict_int, biregular34_k, xv, yv
 from interval6.checker import (
     FACTOR_LENGTHS,
     EdgeColoring,
@@ -22,17 +27,29 @@ from interval6.checker import (
     PathFactor,
     _coloring_scan,
     _validate_coloring,
+    coloring_from_dict,
+    interval_violation,
     path_factor_violation,
 )
-from interval6.coloring import color_from_factor
+from interval6.coloring import (
+    FACTOR_COLORS,
+    LEFTOVER_COLORS,
+    PALETTE,
+    _factor_path_colors,
+    color_from_factor,
+)
 from interval6.errors import InvariantError
 from interval6.generators import eight_triples_graph, random_34_biregular, subset_graph_6, two_eight_triples
 from interval6.pathfactor import (
+    PEdge,
+    PGraph,
     QDecomposition,
+    build_pgraph,
     build_q,
     p7_factor_via_24,
     search_full_3regular,
     search_proper_path_factor,
+    two_color_pgraph,
 )
 from interval6.transversal import factor_from_mixed_transversal
 
@@ -337,3 +354,295 @@ def test_mutated_colorings_match_reference(factored):
             kind, got = same(_coloring_scan, reference_coloring_scan, g, col)
             results.add(kind if kind != "ok" else (got[0], got[1] is None))
     assert {"ValueError", (False, True), (True, True), (True, False)} <= results
+
+
+# --- the coloring construction ------------------------------------------
+
+
+def reference_pgraph_from_q(factor: PathFactor, qd: QDecomposition) -> PGraph:
+    vertices: list[int] = []
+    edges: list[PEdge] = []
+    for p in factor.paths:
+        interior = [p.vertices[i].index for i in range(2, p.length - 1, 2)]
+        vertices.extend(interior)
+        if p.length == 6:
+            edges.append(PEdge(interior[0], interior[1], "a"))
+        elif p.length == 8:
+            edges.append(PEdge(interior[0], interior[2], "b"))
+    for qp in qd.paths:
+        edges.append(PEdge(qp.vertices[0].index, qp.vertices[-1].index, "c"))
+
+    pg = PGraph(tuple(sorted(vertices)), tuple(edges))
+    counts: dict[int, dict[str, int]] = {u: {"a": 0, "b": 0, "c": 0} for u in pg.vertices}
+    for e in pg.edges:
+        for end in (e.u, e.v):
+            if end not in counts:
+                raise InvariantError(f"link edge touches non-interior vertex x{end}")
+            counts[end][e.kind] += 1
+    for u, c in counts.items():
+        if c["c"] != 1 or c["a"] + c["b"] > 1:
+            raise InvariantError(f"vertex x{u} has link degrees {c}")
+    return pg
+
+
+def reference_build_pgraph(g: BipartiteMultigraph, factor: PathFactor) -> PGraph:
+    return reference_pgraph_from_q(factor, reference_build_q(g, factor))
+
+
+def reference_two_color_pgraph(pg: PGraph) -> dict[int, str]:
+    color: dict[int, str] = {}
+    adj: dict[int, list[int]] = {u: [] for u in pg.vertices}
+    for e in pg.edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    for root in pg.vertices:
+        if root in color:
+            continue
+        color[root] = "A"
+        queue = [root]
+        for u in queue:  # breadth first: the queue only grows
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = "B" if color[u] == "A" else "A"
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    raise InvariantError(f"odd cycle in link graph at x{u}, x{w}")
+    return color
+
+
+def reference_color_from_factor(g: BipartiteMultigraph, factor: PathFactor) -> EdgeColoring:
+    qd = reference_build_q(g, factor)  # also checks the graph and the factor
+    side = reference_two_color_pgraph(reference_pgraph_from_q(factor, qd))
+
+    colors = [0] * len(g.edges)
+
+    for cyc in qd.cycles:
+        low = cyc.index(min(cyc))
+        for pos in range(len(cyc)):
+            colors[cyc[(low + pos) % len(cyc)]] = 3 + (pos % 2)
+
+    for qp in qd.paths:
+        eids = list(qp.edges)
+        if side[qp.vertices[0].index] != "A":
+            eids.reverse()
+        for pos, eid in enumerate(eids):
+            colors[eid] = 3 + (pos % 2)
+
+    for p in factor.paths:
+        interior = [p.vertices[i].index for i in range(2, p.length - 1, 2)]
+        eids = list(p.edges)
+        if p.length in (2, 4):
+            if eids[0] > eids[-1]:
+                eids.reverse()
+        elif side[interior[0]] != "A":
+            eids.reverse()
+        t = sum(1 for w in interior if side[w] == "A")
+        for eid, c in zip(eids, _factor_path_colors(p.length, t)):
+            colors[eid] = c
+
+    if 0 in colors:
+        raise InvariantError("construction left an edge uncolored")
+    on_factor = factor.edge_ids()
+    for eid, c in enumerate(colors):
+        want = FACTOR_COLORS if eid in on_factor else LEFTOVER_COLORS
+        if c not in want:
+            raise InvariantError(f"edge {eid} got color {c}, outside {sorted(want)}")
+    out = EdgeColoring(tuple(colors), PALETTE)
+    try:
+        bad = interval_violation(g, out)
+    except ValueError as exc:  # the coloring is total and in range, so only a clash raises
+        raise InvariantError("construction produced a color clash") from exc
+    if bad is not None:
+        v, got = bad
+        raise InvariantError(f"colors {got} at {v.label} are not consecutive")
+    return out
+
+
+def reference_coloring_from_dict(d: dict) -> EdgeColoring:
+    try:
+        return EdgeColoring(
+            tuple(_strict_int(c, "color") for c in d["colors"]),
+            _strict_int(d["palette_size"], "palette_size"),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed coloring object: {exc}") from exc
+
+
+def reference_validate_coloring(g: BipartiteMultigraph, coloring: EdgeColoring) -> None:
+    """The old range check; it also reported an over-long coloring as partial."""
+    if len(coloring.colors) != g.edge_count:
+        missing = list(range(len(coloring.colors), g.edge_count))
+        raise ValueError(f"partial coloring: edges {missing} uncolored")
+    bad = [eid for eid, c in enumerate(coloring.colors) if not (1 <= c <= coloring.palette_size)]
+    if bad:
+        raise ValueError(f"colors outside 1..{coloring.palette_size} on edges {bad}")
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    """Over 300 seeded (graph, proper path factor) pairs from the search,
+    via24 and transversal routes.
+
+    No factor uses only lengths 2 and 4, or only length 8: each path has
+    one more X- than Y-vertex, so a factor of a graph with 4k + 3k
+    vertices has k paths whose lengths sum to 6k. The search therefore
+    runs under (6, 8), which gives length-6 factors, and under all four
+    lengths, which at k = 2, 3 gives lengths 2, 4 and 8 as well.
+    """
+    rng = random.Random(13013)
+    out = []
+    for lengths, ks in (((6, 8), (1, 2, 3, 4)), (FACTOR_LENGTHS, (2, 3, 3))):
+        for k in ks:
+            for _ in range(30):
+                g = random_34_biregular(k, seed=rng.randrange(10**9), simple_only=rng.random() < 0.5)
+                res = search_proper_path_factor(g, max_nodes=5_000, lengths=lengths)
+                if res.status == "found":
+                    out.append((g, res.factor))
+    for _ in range(60):
+        g = random_cover_admitting(rng.randrange(1, 16), rng)
+        out.append((g, p7_factor_via_24(g)))
+    for _ in range(60):
+        g = random_core_admitting(rng.randrange(2, 9), rng)
+        factor = factor_from_mixed_transversal(g, search_full_3regular(g))
+        if factor is not None:
+            out.append((g, factor))
+    return out
+
+
+def test_seeded_factors_cover_every_length(seeded):
+    assert len(seeded) >= 300
+    assert {p.length for _, f in seeded for p in f.paths} == set(FACTOR_LENGTHS)
+
+
+def test_colorings_match_reference(factored, seeded):
+    for g, factor in factored + seeded:
+        assert same(color_from_factor, reference_color_from_factor, g, factor)[0] == "ok"
+        kind, pg = same(build_pgraph, reference_build_pgraph, g, factor)
+        assert kind == "ok"
+        assert same(two_color_pgraph, reference_two_color_pgraph, pg)[0] == "ok"
+
+
+def test_colorings_pinned(factored, seeded):
+    # sha256 of the colorings the Vertex/Path construction (kept above as
+    # reference_color_from_factor) gave on these factors, all four lengths
+    digest = hashlib.sha256()
+    for g, factor in factored + seeded:
+        digest.update(bytes(color_from_factor(g, factor).colors))
+    assert digest.hexdigest() == "3f217d27236809206b8e0bc380ba3d23b3d32548ecc968b78219f2b28a629d63"
+
+
+def relabelled(g: BipartiteMultigraph, factor: PathFactor, rng: random.Random):
+    """Factors whose edge sets are right but whose vertex or edge order is
+    not: the leftover split holds, so the link graph and the coloring's own
+    checks see them."""
+    paths = factor.paths
+    pi = rng.randrange(len(paths))
+    p = paths[pi]
+    verts, eids = list(p.vertices), list(p.edges)
+    yield replace_path(factor, pi, verts[::-1], eids)
+    yield replace_path(factor, pi, verts, eids[::-1])
+    if len(eids) >= 2:
+        i, j = rng.sample(range(len(eids)), 2)
+        swapped = list(eids)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield replace_path(factor, pi, verts, swapped)
+    inner = [i for i in range(2, len(verts) - 2, 2)]
+    if inner:
+        at = rng.choice(inner)
+        for x in rng.sample(range(g.x_count), min(3, g.x_count)):
+            yield replace_path(factor, pi, verts[:at] + [xv(x)] + verts[at + 1 :], eids)
+    q = paths[(pi + 1) % len(paths)]
+    if q is not p and q.length > 2 and p.length > 2:  # swap an interior vertex with another path's
+        a, b = rng.choice(inner), rng.randrange(2, len(q.vertices) - 2, 2)
+        mixed = list(paths)
+        mixed[pi] = Path(p.vertices[:a] + (q.vertices[b],) + p.vertices[a + 1 :], p.edges)
+        mixed[(pi + 1) % len(paths)] = Path(q.vertices[:b] + (p.vertices[a],) + q.vertices[b + 1 :], q.edges)
+        yield PathFactor(tuple(mixed))
+
+
+def in_range(g: BipartiteMultigraph, factor: PathFactor) -> bool:
+    return all(0 <= e < g.edge_count for p in factor.paths for e in p.edges) and all(
+        0 <= v.index < (g.x_count if v.side == "X" else g.y_count) and v.side in "XY"
+        for p in factor.paths
+        for v in p.vertices
+    )
+
+
+def test_fake_factors_match_reference(factored, seeded, monkeypatch):
+    """With the factor check switched off, bad factors reach every check of
+    the leftover split, the link graph and the coloring itself."""
+    monkeypatch.setattr(pathfactor, "_factor_or_raise", lambda g, factor: None)
+    monkeypatch.setitem(globals(), "reference_factor_or_raise", lambda g, factor: None)
+    rng = random.Random(8)
+    messages = set()
+    for g, factor in factored + seeded[::4]:
+        # out-of-range ids are the factor check's to reject; the kernels index by them
+        fakes = list(relabelled(g, factor, rng)) + [f for f in mutations(g, factor, rng) if in_range(g, f)]
+        for density in (0.2, 0.6, 1.0):
+            fakes.append(PathFactor((Path((), tuple(e for e in range(g.edge_count) if rng.random() < density)),)))
+        for fake in fakes:
+            kind, what = same(color_from_factor, reference_color_from_factor, g, fake)
+            messages.add(re.match(r"[a-z ]*", what).group() if kind == "InvariantError" else kind)
+            kind, pg = same(build_pgraph, reference_build_pgraph, g, fake)
+            if kind == "ok":
+                same(two_color_pgraph, reference_two_color_pgraph, pg)
+    # every link vertex has one (c) edge and at most one (a)/(b) edge once
+    # the degree check passes, so the odd-cycle check is reached only
+    # through two_color_pgraph (see the next test)
+    assert messages == {
+        "ok",
+        "IndexError",  # a path given as edge ids alone has no interior vertices to read
+        "leftover graph has an isolated vertex in ",
+        "leftover component is not an even closed walk",
+        "leftover path must join two ",
+        "leftover path walk did not reach the other endpoint",
+        "link edge touches non",
+        "vertex x",
+        "construction left an edge uncolored",
+        "construction produced a color clash",
+        "colors ",
+    }
+
+
+def test_two_color_pgraph_matches_reference_on_random_link_graphs():
+    rng = random.Random(3)
+    kinds = set()
+    for _ in range(400):
+        vertices = tuple(sorted(rng.sample(range(40), rng.randrange(0, 12))))
+        pool = list(vertices) + [rng.randrange(40)]  # now and then an end outside the vertices
+        edges = tuple(
+            PEdge(rng.choice(pool), rng.choice(pool), rng.choice("abc")) for _ in range(rng.randrange(0, 10))
+        )
+        kinds.add(same(two_color_pgraph, reference_two_color_pgraph, PGraph(vertices, edges))[0])
+    assert kinds == {"ok", "InvariantError", "KeyError"}
+
+
+def test_coloring_loader_matches_reference():
+    for d in (
+        {"colors": [1, 2, 3], "palette_size": 6},
+        {"colors": [], "palette_size": 6},
+        {"colors": [1, True, 2.5], "palette_size": 6},
+        {"colors": [1, 2.5, True], "palette_size": 6},
+        {"colors": [1, "3"], "palette_size": 6},
+        {"colors": "123", "palette_size": 6},
+        {"colors": 5, "palette_size": 6},
+        {"colors": [1, None], "palette_size": 6},
+        {"colors": [1, 2], "palette_size": 6.5},
+        {"colors": [1, 2]},
+        {"palette_size": 6},
+        [1, 2],
+    ):
+        same(coloring_from_dict, reference_coloring_from_dict, d)
+
+
+def test_validate_coloring_matches_reference(factored):
+    rng = random.Random(4)
+    for g, factor in factored:
+        good = color_from_factor(g, factor).colors
+        for _ in range(10):
+            colors = list(good)
+            for _ in range(rng.randint(0, 3)):
+                colors[rng.randrange(len(colors))] = rng.randint(-1, 8)
+            cut = rng.randint(0, 2) * rng.randrange(len(colors))
+            for col in (EdgeColoring(tuple(colors), 6), EdgeColoring(tuple(colors[cut:]), 6)):
+                same(_validate_coloring, reference_validate_coloring, g, col)

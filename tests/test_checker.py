@@ -19,6 +19,8 @@ from interval6.checker import (
     interval_violation,
     path_factor_violation,
 )
+from interval6.coloring import color_from_factor
+from interval6.generators import subset_graph_6
 
 
 def k34():
@@ -88,6 +90,23 @@ def test_partial_or_out_of_palette_coloring_is_an_error():
         check_proper(g, EdgeColoring((1,), 2))
     with pytest.raises(ValueError, match="outside"):
         check_proper(g, EdgeColoring((1, 3), 2))
+
+
+def test_short_coloring_names_the_uncolored_edges():
+    g, factor = subset_graph_6()
+    c = color_from_factor(g, factor)
+    with pytest.raises(ValueError) as exc:
+        check_proper(g, EdgeColoring(c.colors[:-2], 6))
+    assert str(exc.value) == "partial coloring: edges [58, 59] uncolored"
+
+
+def test_overlong_coloring_names_both_counts():
+    g, factor = subset_graph_6()
+    c = color_from_factor(g, factor)
+    for check in (check_proper, interval_violation):
+        with pytest.raises(ValueError) as exc:
+            check(g, EdgeColoring(c.colors + (1,), 6))
+        assert str(exc.value) == "coloring covers 61 edges, graph has 60"
 
 
 def test_interval_property_and_violation_report():

@@ -15,6 +15,7 @@ from helpers import random_core_admitting, random_cover_admitting
 from interval6.bigraph import BipartiteMultigraph, build
 from interval6.errors import BudgetExceeded
 from interval6.generators import random_34_biregular
+from interval6 import pathfactor
 from interval6.pathfactor import _exact_cover, find_y_cover, search_full_3regular
 
 
@@ -151,3 +152,16 @@ def test_cover_depth_does_not_recurse():
         edges += [(i, k + i // 2)] * 2  # a double edge to y'(i // 2): never a candidate
     g = build(4 * k, 3 * k, edges)
     assert find_y_cover(g) == tuple(range(k))
+
+
+def test_find_y_cover_hands_the_engine_the_y_adj_candidates(monkeypatch):
+    """The candidates come from one pass over the edges; ids, order and
+    sets (down to their iteration order) are those of the Y adjacency."""
+    seen = []
+    monkeypatch.setattr(pathfactor, "_exact_cover", lambda universe, cands, max_nodes=None: seen.append(cands))
+    rng = random.Random(12)
+    graphs = [random_cover_admitting(rng.randrange(1, 30), rng) for _ in range(10)]
+    graphs += [random_34_biregular(k, seed=rng.randrange(10**9), simple_only=False) for k in (1, 2, 3, 5, 8)]
+    for g in graphs:
+        find_y_cover(g)
+        assert [(j, list(s)) for j, s in seen.pop()] == [(j, list(s)) for j, s in y_candidates(g)]
