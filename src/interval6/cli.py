@@ -172,10 +172,14 @@ def cmd_factor(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     factor = factor_from_dict(_load_json(args.factor, "factor"))
-    why = path_factor_violation(g, factor)
-    if why is not None:
-        raise _fail(f"factor rejected: {why}")
-    coloring = color_from_factor(g, factor)
+    try:
+        coloring = color_from_factor(g, factor)  # checks the factor first
+    except ValueError as exc:
+        msg = str(exc)
+        why = msg.removeprefix("not a proper path factor: ")
+        if why == msg:
+            raise
+        raise _fail(f"factor rejected: {why}") from None
     out = args.out or "-"
     _write_text(out, json.dumps(coloring_to_dict(coloring)) + "\n")
     if args.dot:

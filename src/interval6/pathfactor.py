@@ -355,6 +355,16 @@ def _exact_cover(
     tries those candidates in ascending id. Every node counts against `max_nodes`, the root and
     dead ends included; the node past the cap raises BudgetExceeded.
     Returns the chosen ids sorted, or None.
+
+    The live counts are one byte per element, and a covered element holds
+    `done`, one above the largest starting count. A node finds its
+    element with `live_count.find(c)` for c = 0, 1, ... below `done`: the
+    first hit is the lowest element with the fewest live candidates, and
+    each probe is one C-level byte search over the universe, so a node
+    costs at most max multiplicity + 1 such scans plus its own updates.
+    Hence the precondition: no element lies in 255 or more candidates
+    (ValueError otherwise); the Y-cover and full-3-regular callers have at
+    most 4.
     """
     ordered = sorted(candidates, key=lambda c: c[0])
     rows = [s for _, s in ordered]
@@ -363,19 +373,23 @@ def _exact_cover(
         for el in s:
             rows_of[el].append(r)
     live = [True] * len(rows)
-    live_count = [len(rs) for rs in rows_of]
-    done = len(rows) + 1  # count given to a covered element: above any live count
+    done = max(map(len, rows_of), default=0) + 1  # count given to a covered element
+    if done > 255:
+        raise ValueError(f"an element lies in {done - 1} candidates; at most 254 fit a byte count")
+    live_count = bytearray(map(len, rows_of))
     stack: list[list] = []  # open nodes: [options, next option, rows killed by the current one]
     nodes = 0
     while True:
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetExceeded(f"exact cover stopped after {nodes} nodes")
-        least = min(live_count, default=done)
-        if least == done:
+        for least in range(done):
+            el = live_count.find(least)
+            if el >= 0:
+                break
+        else:
             return tuple(sorted(ordered[frame[0][frame[1] - 1]][0] for frame in stack))
         if least:  # else a dead end: some element has no live candidate
-            el = live_count.index(least)
             stack.append([[r for r in rows_of[el] if live[r]], 0, None])
         # back up to the deepest node with an untried option and take it
         while stack:

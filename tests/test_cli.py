@@ -6,13 +6,14 @@ import random
 
 from helpers import disjoint_k43, random_core_admitting, random_cover_admitting
 
-from interval6 import cli
+from interval6 import checker, cli, pathfactor
 from interval6.bigraph import from_json, is_simple, to_json
 from interval6.checker import (
     check_interval,
     check_proper_path_factor,
     coloring_from_dict,
     factor_from_dict,
+    path_factor_violation,
 )
 
 
@@ -222,6 +223,29 @@ def test_color_rejects_wrong_factor(capsys, tmp_path):
         "--factor-out", str(ofac))
     code, _, err = run(capsys, "color", "--in", str(gpath), "--factor", str(ofac))
     assert code == 3 and "factor rejected" in err
+
+
+def test_color_checks_the_factor_once(capsys, tmp_path, monkeypatch):
+    """`color` leaves the factor check to `color_from_factor`: one
+    `path_factor_violation` call per run, whether the factor passes or not."""
+    gpath = tmp_path / "g.json"
+    fpath = tmp_path / "f.json"
+    ofac = tmp_path / "otherfac.json"
+    run(capsys, "gen", "--family", "subset6", "--out", str(gpath), "--factor-out", str(fpath))
+    run(capsys, "gen", "--family", "two-eight-triples", "--out", str(tmp_path / "other.json"),
+        "--factor-out", str(ofac))
+    calls = []
+
+    def counted(g, factor):
+        calls.append(factor)
+        return path_factor_violation(g, factor)
+
+    for module in (checker, cli, pathfactor):
+        monkeypatch.setattr(module, "path_factor_violation", counted)
+    code, _, _ = run(capsys, "color", "--in", str(gpath), "--factor", str(fpath))
+    assert code == 0 and len(calls) == 1
+    code, _, err = run(capsys, "color", "--in", str(gpath), "--factor", str(ofac))
+    assert code == 3 and "error: factor rejected: " in err and len(calls) == 2
 
 
 def test_verify_accepts_and_rejects(capsys, tmp_path):

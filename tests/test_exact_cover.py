@@ -165,3 +165,50 @@ def test_find_y_cover_hands_the_engine_the_y_adj_candidates(monkeypatch):
     for g in graphs:
         find_y_cover(g)
         assert [(j, list(s)) for j, s in seen.pop()] == [(j, list(s)) for j, s in y_candidates(g)]
+
+
+def wide_problems():
+    """Seeded random set systems: universe 1-25, up to 120 sets of 2-6
+    elements, each element in about 15 sets at the median and up to 36, so
+    the engine's scan over live counts runs well past the callers' 4."""
+    rng = random.Random(14)
+    out = []
+    for _ in range(300):
+        universe = rng.randint(1, 25)
+        candidates = []
+        for cid in rng.sample(range(200), rng.randint(0, min(120, 6 * universe))):
+            size = rng.randint(min(2, universe), min(universe, 6))
+            candidates.append((cid, frozenset(rng.sample(range(universe), size))))
+        out.append((universe, candidates))
+    return out
+
+
+def test_wide_multiplicities_match_reference():
+    found = most = 0
+    for universe, candidates in wide_problems():
+        want = reference_exact_cover(universe, candidates)
+        assert _exact_cover(universe, candidates) == want
+        found += want is not None
+        counts = [sum(el in s for _, s in candidates) for el in range(universe)]
+        most = max(most, *counts)
+    assert found > 0 and most >= 20
+
+
+@pytest.mark.parametrize("cap", [1, 3, 50])
+def test_wide_multiplicities_stop_like_reference(cap):
+    stops = 0
+    for universe, candidates in wide_problems():
+        want = outcome(reference_exact_cover, universe, candidates, cap)
+        assert outcome(_exact_cover, universe, candidates, cap) == want
+        stops += isinstance(want, str)
+    assert stops > 0
+
+
+def test_byte_counts_cap_an_element_at_254_candidates():
+    """Live counts are bytes, with one value above the largest kept for
+    covered elements, so 254 candidates per element is the most."""
+    fits = [(cid, frozenset({0})) for cid in range(254)]
+    assert _exact_cover(1, fits) == reference_exact_cover(1, fits) == (0,)
+    over = [(cid, frozenset({0})) for cid in range(255)]
+    with pytest.raises(ValueError, match="255 candidates"):
+        _exact_cover(1, over)
