@@ -11,6 +11,12 @@ coloring. The direct `Vertex`-based readings of the definitions are kept
 as references in tests/test_certify_kernels.py, which checks that both
 give the same answers and messages.
 
+Every route that builds a certificate returns it through the finish for
+its kind (`finish_factor`, `finish_subgraph`, `finish_coloring`), which
+re-checks it with the checker `verify` uses and raises InvariantError
+naming the route (a coloring gap names the vertex); these are plain
+calls, so they also run under `python -O`.
+
 Conventions: a malformed certificate (dangling edge id, vertex out of
 range, partial coloring) raises ValueError; a well-formed certificate
 that simply fails the property returns False.
@@ -19,8 +25,10 @@ that simply fails the property returns False.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .bigraph import BipartiteMultigraph, Vertex, _strict_int, is_biregular, node_vertex, parse_vertex
+from .errors import InvariantError
 
 FACTOR_LENGTHS = (2, 4, 6, 8)
 
@@ -208,6 +216,50 @@ def check_full_3regular(g: BipartiteMultigraph, cert: SubgraphCertificate) -> bo
         xdeg[x] += 1
         ydeg[y] += 1
     return all(d == 3 for d in ydeg) and all(d in (0, 3) for d in xdeg)
+
+
+# --- finishes ------------------------------------------------------------
+#
+# A certificate that fails its checker here is a bug, not bad input, so
+# the finishes raise InvariantError rather than ValueError.
+
+def node_path(x_count: int, nodes: Sequence[int], eids: Sequence[int]) -> Path:
+    """The path through node ids `nodes` (X-vertex i is i, Y-vertex j is
+    x_count + j) along edge ids `eids`."""
+    return Path(tuple(node_vertex(x_count, u) for u in nodes), tuple(eids))
+
+
+def finish_factor(g: BipartiteMultigraph, factor: PathFactor, route: str) -> PathFactor:
+    """`factor`, once `path_factor_violation` passes it; otherwise
+    InvariantError("<route> failed: <why>")."""
+    why = path_factor_violation(g, factor)
+    if why is not None:
+        raise InvariantError(f"{route} failed: {why}")
+    return factor
+
+
+def finish_subgraph(g: BipartiteMultigraph, dropped: Iterable[int], route: str) -> SubgraphCertificate:
+    """The subgraph of every edge whose X-end is not in `dropped`, once
+    `check_full_3regular` passes it; otherwise InvariantError."""
+    drop = set(dropped)
+    cert = SubgraphCertificate(frozenset(eid for eid, (x, _) in enumerate(g.edges) if x not in drop))
+    if not check_full_3regular(g, cert):
+        raise InvariantError(f"{route} failed: not a full 3-regular subgraph")
+    return cert
+
+
+def finish_coloring(g: BipartiteMultigraph, coloring: EdgeColoring, route: str) -> EdgeColoring:
+    """`coloring`, once `interval_violation` finds it proper with no gap;
+    otherwise InvariantError. Routes hand over total colorings within
+    their palette, so a ValueError from the check means a color clash."""
+    try:
+        gap = interval_violation(g, coloring)
+    except ValueError as exc:
+        raise InvariantError(f"{route} produced a color clash") from exc
+    if gap is not None:
+        v, got = gap
+        raise InvariantError(f"colors {got} at {v.label} are not consecutive")
+    return coloring
 
 
 # --- serialization -----------------------------------------------------

@@ -16,8 +16,9 @@ the link graph over X ids (`_link_graph`) and its breadth-first
 2-coloring into a side array (`_two_color`). Colors are written straight
 into one list, and no `Vertex` or `Path` object is built. It
 double-checks its own output (every edge colored, factor edges in
-{1, 2, 5, 6} and leftover edges in {3, 4}, the interval property) and
-raises InvariantError rather than return a bad coloring.
+{1, 2, 5, 6} and leftover edges in {3, 4}, then the interval property
+through `checker.finish_coloring`) and raises InvariantError rather than
+return a bad coloring.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .checker import (
     FACTOR_LENGTHS,
     EdgeColoring,
     PathFactor,
-    interval_violation,
+    finish_coloring,
     vertex_colors,
 )
 from .errors import InvariantError
@@ -99,15 +100,7 @@ def color_from_factor(g: BipartiteMultigraph, factor: PathFactor) -> EdgeColorin
         eid = next(e for e, (kind, f) in enumerate(zip(kinds, on_factor)) if kind != f)
         want = FACTOR_COLORS if on_factor[eid] else LEFTOVER_COLORS
         raise InvariantError(f"edge {eid} got color {colors[eid]}, outside {sorted(want)}")
-    out = EdgeColoring(tuple(colors), PALETTE)
-    try:
-        bad = interval_violation(g, out)
-    except ValueError as exc:  # the coloring is total and in range, so only a clash raises
-        raise InvariantError("construction produced a color clash") from exc
-    if bad is not None:
-        v, got = bad
-        raise InvariantError(f"colors {got} at {v.label} are not consecutive")
-    return out
+    return finish_coloring(g, EdgeColoring(tuple(colors), PALETTE), "construction")
 
 
 def color_summary(g: BipartiteMultigraph, coloring: EdgeColoring) -> dict[Vertex, tuple[int, ...]]:

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from . import bigraph
 from .bigraph import BipartiteMultigraph, build, xv, yv
-from .checker import Path, PathFactor, check_proper_path_factor
+from .checker import Path, PathFactor, check_proper_path_factor, finish_factor
 from .pathfactor import search_proper_path_factor
 from .transversal import FEdge, FGraph, TripleSystem
 
@@ -59,9 +59,7 @@ def subset_graph_6() -> tuple[BipartiteMultigraph, PathFactor]:
             x, y = (a, b) if a.side == "X" else (b, a)
             eids.append(eid_of[(x.index, y.index)])
         paths.append(Path(tuple(verts), tuple(eids)))
-    factor = PathFactor(tuple(paths))
-    assert check_proper_path_factor(g, factor)
-    return g, factor
+    return g, finish_factor(g, PathFactor(tuple(paths)), "subset graph factor")
 
 
 _EIGHT_TRIPLES = ((1, 2, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (3, 4, 6), (1, 4, 5), (1, 5, 6), (2, 5, 6))
@@ -150,9 +148,7 @@ def two_switch(
             xv(v.index + ox) if v.side == "X" else yv(v.index + oy) for v in p.vertices
         )
         paths.append(Path(verts, tuple(e + oe for e in p.edges)))
-    factor = PathFactor(tuple(paths))
-    assert check_proper_path_factor(g, factor)
-    return g, factor
+    return g, finish_factor(g, PathFactor(tuple(paths)), "two_switch splice")
 
 
 def random_34_biregular(k: int, seed: int, simple_only: bool = True) -> BipartiteMultigraph:

@@ -6,25 +6,25 @@ against each other. These run in time exponential in the graph size and
 are only meant for small instances; they take no node budget. They run
 over node ids (Y-vertex j is node x_count + j) on explicit stacks, so no
 recursion depth grows with the input, and read factor paths off with
-`bigraph`'s component routine and trail walker. tests/test_oracle.py
-keeps the recursive originals as references.
+`bigraph`'s component routine and trail walker. Each answer leaves
+through its `checker` finish, re-checked as the constructions' are.
+tests/test_oracle.py keeps the recursive originals as references.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .bigraph import BipartiteMultigraph, _node_components, _trail, biregular34_k, node_vertex
+from .bigraph import BipartiteMultigraph, _node_components, _trail, biregular34_k
 from .checker import (
     FACTOR_LENGTHS,
     EdgeColoring,
-    Path,
     PathFactor,
     SubgraphCertificate,
-    check_full_3regular,
-    check_interval,
-    check_proper,
-    check_proper_path_factor,
+    finish_coloring,
+    finish_factor,
+    finish_subgraph,
+    node_path,
 )
 
 
@@ -96,8 +96,7 @@ def oracle_path_factor(
             if 0 not in xdeg:  # every X-vertex is on a path
                 factor = _read_paths(g, chosen, allowed)
                 if factor is not None:
-                    assert check_proper_path_factor(g, factor)
-                    return factor
+                    return finish_factor(g, factor, "path factor oracle")
             j -= 1
             continue
         t = tried[j]
@@ -150,7 +149,7 @@ def _read_paths(g: BipartiteMultigraph, chosen: list[int], allowed: frozenset[in
             return None
         walks.append((nodes, eids))
     walks.sort()  # by smaller X-end: the ends differ
-    return PathFactor(tuple(Path(tuple(node_vertex(n, u) for u in nodes), tuple(eids)) for nodes, eids in walks))
+    return PathFactor(tuple(node_path(n, *w) for w in walks))
 
 
 def oracle_interval_coloring(g: BipartiteMultigraph, palette: int) -> EdgeColoring | None:
@@ -199,9 +198,7 @@ def oracle_interval_coloring(g: BipartiteMultigraph, palette: int) -> EdgeColori
             eid -= 1
     if eid < 0:
         return None
-    out = EdgeColoring(tuple(colors), palette)
-    assert check_proper(g, out) and check_interval(g, out)
-    return out
+    return finish_coloring(g, EdgeColoring(tuple(colors), palette), "coloring oracle")
 
 
 def oracle_full_3regular(g: BipartiteMultigraph) -> SubgraphCertificate | None:
@@ -230,10 +227,5 @@ def oracle_full_3regular(g: BipartiteMultigraph) -> SubgraphCertificate | None:
             if not ok:
                 break
         if ok and all(h == 1 for h in hits):
-            dropped = set(drop)
-            cert = SubgraphCertificate(
-                frozenset(eid for eid, (x, _) in enumerate(g.edges) if x not in dropped)
-            )
-            assert check_full_3regular(g, cert)
-            return cert
+            return finish_subgraph(g, drop, "full 3-regular oracle")
     return None

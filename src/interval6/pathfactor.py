@@ -60,8 +60,9 @@ from .checker import (
     Path,
     PathFactor,
     SubgraphCertificate,
-    check_full_3regular,
-    check_proper_path_factor,
+    finish_factor,
+    finish_subgraph,
+    node_path,
     path_factor_violation,
 )
 from .errors import BudgetExceeded, InvariantError
@@ -189,11 +190,7 @@ def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
     along the lowest unused edge id.
     """
     _, cycles, paths = _leftover(g, factor)
-    n = g.x_count
-    return QDecomposition(
-        tuple(map(tuple, cycles)),
-        tuple(Path(tuple(node_vertex(n, u) for u in nodes), tuple(eids)) for nodes, eids in paths),
-    )
+    return QDecomposition(tuple(map(tuple, cycles)), tuple(node_path(g.x_count, *p) for p in paths))
 
 
 def _link_graph(
@@ -502,11 +499,7 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     for cj, (x_i, x_j) in enumerate(_half_pairs(rest, len(cover), contracted, 0)):
         (vi, ei), (vj, ej) = arm[x_i], arm[x_j]
         paths.append(Path(vi + (yv(cover[cj]),) + vj[::-1], ei + (contact[x_i], contact[x_j]) + ej[::-1]))
-    factor = PathFactor(tuple(paths))
-    why = path_factor_violation(g, factor)
-    if why is not None:
-        raise InvariantError(f"via24 construction failed: {why}")
-    return factor
+    return finish_factor(g, PathFactor(tuple(paths)), "via24 construction")
 
 
 _PIVOT, _RIGHT, _LEFT = "pivot", "right", "left"  # search steps
@@ -593,9 +586,8 @@ def search_proper_path_factor(
                 step, end = _RIGHT, pivot
                 continue
             if all(cov[n:]):
-                factor = PathFactor(tuple(_as_path(n, *p) for p in paths))
-                assert check_proper_path_factor(g, factor)
-                return SearchResult("found", factor, nodes)
+                factor = PathFactor(tuple(node_path(n, lv[::-1] + rv, le[::-1] + re_) for rv, re_, lv, le in paths))
+                return SearchResult("found", finish_factor(g, factor, "pivot search"), nodes)
         elif step is _RIGHT:
             frames.append((False, end, iter(adj[end] if len(re_) < longest else ())))
             if end < n and re_:
@@ -650,10 +642,6 @@ def search_proper_path_factor(
             return SearchResult("none", None, nodes)
 
 
-def _as_path(n: int, rv: list[int], re_: list[int], lv: list[int], le: list[int]) -> Path:
-    return Path(tuple(node_vertex(n, v) for v in lv[::-1] + rv), tuple(le[::-1] + re_))
-
-
 def search_full_3regular(
     g: BipartiteMultigraph, max_nodes: int | None = None
 ) -> "SubgraphCertificate | None":
@@ -679,7 +667,4 @@ def search_full_3regular(
     chosen = _exact_cover(g.y_count, cands, max_nodes=max_nodes)
     if chosen is None:
         return None
-    drop = set(chosen)
-    cert = SubgraphCertificate(frozenset(eid for eid, (x, _) in enumerate(g.edges) if x not in drop))
-    assert check_full_3regular(g, cert)
-    return cert
+    return finish_subgraph(g, chosen, "full 3-regular search")

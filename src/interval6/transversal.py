@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .bigraph import BipartiteMultigraph, _node_components, _trail, biregular34_k, node_vertex, xv, yv
-from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, path_factor_violation
+from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, finish_factor
 from .errors import InvariantError
 
 
@@ -603,7 +603,8 @@ def factor_from_mixed_transversal(
         mixed = find_mixed_transversal(f, ts)
         if mixed is None:
             return None
-    _validate_mixed(f, ts, mixed)
+    else:  # a computed transversal is checked through the factor it yields
+        _validate_mixed(f, ts, mixed)
 
     # Each Y-vertex has one edge to the X-vertices outside the subgraph:
     # to the one whose neighborhood is its triple.
@@ -620,11 +621,7 @@ def factor_from_mixed_transversal(
         else:
             paths.extend(_case_spread(f, chosen, outside))
 
-    factor = PathFactor(tuple(paths))
-    why = path_factor_violation(g, factor)
-    if why is not None:
-        raise InvariantError(f"transversal construction failed: {why}")
-    return factor
+    return finish_factor(g, PathFactor(tuple(paths)), "transversal construction")
 
 
 def _validate_mixed(f: FGraph, ts: TripleSystem, mixed: MixedTransversal) -> None:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 from helpers import disjoint_k43, random_core_admitting, random_cover_admitting
 
@@ -246,6 +247,26 @@ def test_color_checks_the_factor_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and len(calls) == 1
     code, _, err = run(capsys, "color", "--in", str(gpath), "--factor", str(ofac))
     assert code == 3 and "error: factor rejected: " in err and len(calls) == 2
+
+
+def test_factor_checks_a_found_factor_once(capsys, tmp_path, monkeypatch):
+    """Every method returns its factor through `checker.finish_factor`, and
+    `factor` adds no check of its own: one `path_factor_violation` call per
+    found factor."""
+    gpath = gen_file(capsys, tmp_path, "random", "--k", "1", "--seed", "0")  # K_{4,3}: every method finds
+    calls = []
+
+    def counted(g, factor):
+        calls.append(factor)
+        return path_factor_violation(g, factor)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("interval6.") and vars(module).get("path_factor_violation") is path_factor_violation:
+            monkeypatch.setattr(module, "path_factor_violation", counted)
+    for method in ("search", "oracle", "via24", "transversal"):
+        calls.clear()
+        code, out, _ = run(capsys, "factor", "--in", str(gpath), "--method", method)
+        assert (code, json.loads(out)["status"], len(calls)) == (0, "found", 1), method
 
 
 def test_verify_accepts_and_rejects(capsys, tmp_path):
