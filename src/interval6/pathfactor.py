@@ -339,30 +339,36 @@ def _exact_cover(
     universe: int,
     candidates: list[tuple[int, frozenset[int]]],
     max_nodes: int | None = None,
+    primary: int | None = None,
 ) -> tuple[int, ...] | None:
-    """Subfamily of pairwise-disjoint sets covering 0..universe-1 exactly.
+    """Subfamily of pairwise-disjoint sets covering 0..primary-1 exactly.
 
     Knuth's Algorithm X (*Dancing Links*, arXiv cs/0011047) with an
     explicit stack instead of recursion, and with live flags plus
-    per-element live counts in place of the linked lists. A candidate is
-    live while all its elements are uncovered; choosing one kills every
-    live candidate that meets it and decrements their elements' counts,
-    and backtracking revives them. Each node branches on the uncovered
-    element with the fewest live candidates (ties: lowest element) and
-    tries those candidates in ascending id. Every node counts against `max_nodes`, the root and
-    dead ends included; the node past the cap raises BudgetExceeded.
-    Returns the chosen ids sorted, or None.
+    per-element live counts in place of the linked lists. Elements below
+    `primary` (default: the whole universe) are primary columns, covered
+    exactly once; the rest, up to `universe`, are Knuth's secondary
+    columns, covered at most once. A candidate is live while all its
+    elements are uncovered; choosing one kills every live candidate that
+    meets it and decrements their elements' counts, and backtracking
+    revives them. Each node branches on the uncovered primary element
+    with the fewest live candidates (ties: lowest element) and tries
+    those candidates in ascending id; a secondary element left with no
+    live candidate is no dead end. Every node counts against
+    `max_nodes`, the root and dead ends included; the node past the cap
+    raises BudgetExceeded. Returns the chosen ids sorted, or None.
 
     The live counts are one byte per element, and a covered element holds
     `done`, one above the largest starting count. A node finds its
-    element with `live_count.find(c)` for c = 0, 1, ... below `done`: the
-    first hit is the lowest element with the fewest live candidates, and
-    each probe is one C-level byte search over the universe, so a node
+    element with `live_count.find(c, 0, primary)` for c = 0, 1, ... below
+    `done`: the first hit is the lowest primary element with the fewest
+    live candidates, and each probe is one C-level byte search, so a node
     costs at most max multiplicity + 1 such scans plus its own updates.
     Hence the precondition: no element lies in 255 or more candidates
-    (ValueError otherwise); the Y-cover and full-3-regular callers have at
-    most 4.
+    (ValueError otherwise); the callers have at most 4.
     """
+    if primary is None:
+        primary = universe
     ordered = sorted(candidates, key=lambda c: c[0])
     rows = [s for _, s in ordered]
     rows_of: list[list[int]] = [[] for _ in range(universe)]
@@ -381,7 +387,7 @@ def _exact_cover(
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetExceeded(f"exact cover stopped after {nodes} nodes")
         for least in range(done):
-            el = live_count.find(least)
+            el = live_count.find(least, 0, primary)
             if el >= 0:
                 break
         else:

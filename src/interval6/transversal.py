@@ -14,6 +14,12 @@ or spread along its cycles, or a per-component mix of the two, yields a
 proper path factor. Color 1 doubles as the perfect matching M used to
 cap paths in both constructions.
 
+An independent transversal is an exact cover, found by the engine the
+Y-cover and full-3-regular searches share (`pathfactor._exact_cover`):
+each triple is a primary column, covered by exactly one member, and
+each F-edge a secondary column, with at most one end chosen. The spread
+search keeps its own explicit-stack loop.
+
 Before searching for an independent transversal, `_hall_refutes`
 checks Hall's marriage condition (P. Hall, 1935) between the triples
 and the F-cycles that are cliques of F* (F plus a triangle on each
@@ -32,9 +38,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .bigraph import BipartiteMultigraph, _node_components, _trail, biregular34_k, node_vertex, xv, yv
+from .bigraph import BipartiteMultigraph, _node_components, _trail, node_vertex, xv, yv
 from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, finish_factor
 from .errors import InvariantError
+from .pathfactor import _exact_cover
 
 
 class FEdge(NamedTuple):
@@ -246,11 +253,8 @@ def _hall_refutes(f: FGraph, ts: TripleSystem, domains: list[list[int]]) -> bool
     return len(_kuhn_round(list(rem), rem)) < len(rem)
 
 
-CLOSED = 4  # added to a chosen triple's live count: above any open one's 0..3
-
-
 def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict[int, int] | None:
-    """Complete backtracking for an independent transversal of the given
+    """Complete search for an independent transversal of the given
     triples, which make up whole F* components.
 
     A vertex carrying a loop can never be chosen: its loop makes it
@@ -266,69 +270,30 @@ def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict
     while the shipped obstructions, whose refutation by search grows
     exponentially with the number of triples, are answered at once.
 
-    Forward checking on an explicit stack (no recursion), after Haralick
-    and Elliott (1980): `ban[y]` counts the chosen members F-adjacent to
-    y, and `live[s]` the unbanned, unlooped members of the s-th triple in
-    ascending index order, changed only when a ban count leaves or
-    returns to 0; `wiped` counts the open triples left with none. A
-    chosen triple's count carries CLOSED on top, so each node branches
-    on the first triple with the lowest `live`: the open triple with the
-    fewest live members, the lowest triple index on a tie. Its live
-    members are tried in triple order, and a choice that wipes out an
-    open triple is undone at once.
+    The search is one `_exact_cover` call on ids local to the triples,
+    so a component costs time in its own size, not in |F|. The s-th
+    triple in ascending index order is primary column s. Each of its
+    vertices owns a secondary column, for its F out-edge. The unlooped
+    member at position p of triple s is row 3s + p, covering column s
+    and the columns of its out- and in-edges, so no two chosen members
+    share an F-edge. The engine branches on the open triple with the
+    fewest members left (the lowest index on a tie) and tries them in
+    triple order.
     """
-    nb = f.neighbors  # at most 2 each: F is 2-regular
     order = sorted(idxs)
     domains = [[y for y in ts.triples[i] if y not in f.looped] for i in order]
     if _hall_refutes(f, ts, domains):
         return None
-    # keyed by the triples' vertices, which hold every F-neighbor of theirs:
-    # a component costs time in its own size, not in |F|
-    verts = [y for i in order for y in ts.triples[i]]
-    slot_of = dict.fromkeys(verts, -1)  # slot of the triple holding a domain vertex
-    for s, dom in enumerate(domains):
-        for y in dom:
-            slot_of[y] = s
-    live = [len(dom) for dom in domains]
-    wiped = live.count(0)
-    ban = dict.fromkeys(verts, 0)
-    slots = range(len(order))
-    chosen: dict[int, int] = {}
-
-    stack: list[list] = []  # per depth: [slot, live members on entry, members tried]
-    while True:
-        s = min(slots, key=live.__getitem__, default=None)
-        if s is None or live[s] >= CLOSED:
-            return chosen
-        stack.append([s, [y for y in domains[s] if not ban[y]], 0])
-        while stack:
-            frame = stack[-1]
-            s, opts, tried = frame
-            if tried:  # undo the previous try
-                live[s] -= CLOSED
-                for z in nb[chosen.pop(order[s])]:
-                    ban[z] -= 1
-                    t = slot_of[z]
-                    if not ban[z] and t >= 0:
-                        live[t] += 1
-                        wiped -= live[t] == 1
-            if tried < len(opts):
-                y = opts[tried]
-                frame[2] = tried + 1
-                chosen[order[s]] = y
-                live[s] += CLOSED
-                for z in nb[y]:
-                    ban[z] += 1
-                    t = slot_of[z]
-                    if ban[z] == 1 and t >= 0:
-                        live[t] -= 1
-                        wiped += not live[t]
-                if not wiped:
-                    break
-            else:
-                stack.pop()
-        else:
-            return None
+    verts = [y for i in order for y in ts.triples[i]]  # member p of triple s is verts[3s + p]
+    # out-edge column of each vertex; the triples hold every F-neighbor of theirs
+    col = dict(zip(verts, range(len(order), 4 * len(order))))
+    rows = [
+        (r, frozenset((r // 3, col[y], col[f.in_edge(y).u])))
+        for r, y in enumerate(verts)
+        if y not in f.looped
+    ]
+    chosen = _exact_cover(4 * len(order), rows, primary=len(order))
+    return None if chosen is None else {order[r // 3]: verts[r] for r in chosen}
 
 
 def _spread_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict[int, int] | None:
@@ -597,7 +562,6 @@ def factor_from_mixed_transversal(
     vertex's color-1 partner, which is exactly the middle of the deleted
     edge ahead.
     """
-    biregular34_k(g)
     f, ts = build_f(g, cert, colors=colors)
     if mixed is None:
         mixed = find_mixed_transversal(f, ts)

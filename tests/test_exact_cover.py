@@ -1,10 +1,13 @@
 """The iterative exact-cover engine against the recursive one it replaced.
 
-Both `find_y_cover` (Y-neighbourhoods partitioning X) and
-`search_full_3regular` (X-neighbourhoods partitioning Y) run through
-`pathfactor._exact_cover`. The engine must keep the old search order, so
-on every instance it returns the same ids, and under a node cap it stops
-at the same node with the same message.
+Three searches run through `pathfactor._exact_cover`: `find_y_cover`
+(Y-neighbourhoods partitioning X), `search_full_3regular`
+(X-neighbourhoods partitioning Y) and the independent-transversal search
+`transversal._independent_for` (one member per triple, at most one end
+per F-edge). The engine must keep the old search order, so on every
+instance it returns the same ids, and under a node cap it stops at the
+same node with the same message. Secondary columns, which only the
+transversal search uses, are checked against brute force.
 """
 
 import random
@@ -100,9 +103,9 @@ def problems():
     return out
 
 
-def outcome(engine, universe, candidates, max_nodes=None):
+def outcome(engine, universe, candidates, max_nodes=None, **kw):
     try:
-        return engine(universe, candidates, max_nodes=max_nodes)
+        return engine(universe, candidates, max_nodes=max_nodes, **kw)
     except BudgetExceeded as exc:
         return f"budget: {exc}"
 
@@ -212,3 +215,65 @@ def test_byte_counts_cap_an_element_at_254_candidates():
     over = [(cid, frozenset({0})) for cid in range(255)]
     with pytest.raises(ValueError, match="255 candidates"):
         _exact_cover(1, over)
+
+
+def secondary_problems():
+    """Seeded random set systems: universe 1-14, of which a prefix of
+    0-universe elements is primary, and up to 30 sets of 1-4 elements."""
+    rng = random.Random(16)
+    out = []
+    for _ in range(400):
+        universe = rng.randint(1, 14)
+        primary = rng.randint(0, universe)
+        candidates = []
+        for cid in rng.sample(range(60), rng.randint(0, 30)):
+            size = rng.randint(1, min(universe, 4))
+            candidates.append((cid, frozenset(rng.sample(range(universe), size))))
+        out.append((universe, primary, candidates))
+    return out
+
+
+def packings(candidates):
+    """Every subfamily of pairwise-disjoint sets, as (ids, union)."""
+    out = [((), frozenset())]
+    for cid, s in candidates:
+        out += [(ids + (cid,), union | s) for ids, union in out if not union & s]
+    return out
+
+
+def covers(universe, primary, candidates, ids):
+    """True when the sets `ids` cover each primary element once and each
+    secondary element at most once."""
+    counts = [0] * universe
+    sets = dict(candidates)
+    for cid in ids:
+        for el in sets[cid]:
+            counts[el] += 1
+    return counts[:primary] == [1] * primary and max(counts, default=0) <= 1
+
+
+def test_secondary_columns_match_brute_force():
+    found = missing = 0
+    for universe, primary, candidates in secondary_problems():
+        got = _exact_cover(universe, candidates, primary=primary)
+        exists = any(union >= set(range(primary)) for _, union in packings(candidates))
+        assert (got is not None) == exists
+        if got is not None:
+            assert list(got) == sorted(got) and covers(universe, primary, candidates, got)
+        found += exists
+        missing += not exists
+    assert found > 50 and missing > 50
+
+
+def test_secondary_columns_stop_at_the_node_past_the_cap():
+    """Each run needs some number n of nodes: every cap below n raises at
+    node cap + 1, and every cap from n on returns the uncapped answer."""
+    stops = 0
+    for universe, primary, candidates in secondary_problems():
+        want = _exact_cover(universe, candidates, primary=primary)
+        outcomes = [outcome(_exact_cover, universe, candidates, cap, primary=primary) for cap in range(1, 12)]
+        n = next((cap for cap, got in enumerate(outcomes, 1) if not isinstance(got, str)), 12)
+        assert outcomes[:n - 1] == [f"budget: exact cover stopped after {cap + 1} nodes" for cap in range(1, n)]
+        assert outcomes[n - 1:] == [want] * (12 - n)
+        stops += n > 1
+    assert stops > 100

@@ -449,6 +449,19 @@ def test_build_f_rejects_bad_certificate():
         build_f(g, broken)
 
 
+def test_factor_rejects_graph_not_34_biregular():
+    # build_f's check_full_3regular is the degree check of this route
+    from interval6.checker import SubgraphCertificate
+    g = nine_cycle_instance()
+    cert = search_full_3regular(g)
+    x, y = g.edges[0]
+    moved = build(g.x_count, g.y_count, [((x + 1) % g.x_count, y)] + list(g.edges[1:]))
+    tiny = build(2, 1, [(0, 0), (1, 0)])
+    for h, c in ((moved, cert), (tiny, SubgraphCertificate(frozenset()))):
+        with pytest.raises(ValueError, match=r"\(3,4\)-biregular"):
+            factor_from_mixed_transversal(h, c)
+
+
 def test_factor_via_independent_case():
     g = nine_cycle_instance()
     cert = search_full_3regular(g)
@@ -766,6 +779,15 @@ def test_independent_search_does_not_recurse():
     about 25 s), one frame per chosen triple."""
     f, ts = spread_obstruction(1200)
     assert find_independent_transversal(f, ts) == tuple(t[0] for t in ts.triples)
+
+
+def test_independent_search_linear_in_triples():
+    """6000 triples: choosing the branching triple by a scan over every
+    triple at each node took about 2 s, quadratic in the number of
+    triples."""
+    f, ts = spread_obstruction(6000)
+    got, dt = timed(find_independent_transversal, f, ts)
+    assert got == tuple(t[0] for t in ts.triples) and dt < 1.0
 
 
 def test_spread_search_does_not_recurse():
