@@ -33,6 +33,15 @@ from .errors import InvariantError
 FACTOR_LENGTHS = (2, 4, 6, 8)
 
 
+def _length_set(lengths: Iterable[int]) -> frozenset[int]:
+    """`lengths` as a set, once it is a nonempty subset of FACTOR_LENGTHS;
+    otherwise ValueError. The factor searches take their lengths here."""
+    allowed = frozenset(lengths)
+    if not allowed or not allowed <= set(FACTOR_LENGTHS):
+        raise ValueError(f"lengths must be a nonempty subset of {FACTOR_LENGTHS}")
+    return allowed
+
+
 @dataclass(frozen=True)
 class Path:
     """A walk written as alternating vertices and edge ids.

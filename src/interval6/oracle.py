@@ -5,8 +5,9 @@ but by a structurally different route, so the two sides can be tested
 against each other. These run in time exponential in the graph size and
 are only meant for small instances; they take no node budget. They run
 over node ids (Y-vertex j is node x_count + j) on explicit stacks, so no
-recursion depth grows with the input, and read factor paths off with
-`bigraph`'s component routine and trail walker. Each answer leaves
+recursion depth grows with the input. The factor oracle keeps each path's
+ends and length in plain lists and walks the found paths with `bigraph`'s
+trail walker. Each answer leaves
 through its `checker` finish, re-checked as the constructions' are.
 tests/test_oracle.py keeps the recursive originals as references.
 """
@@ -15,55 +16,18 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bigraph import BipartiteMultigraph, _node_components, _trail, biregular34_k
+from .bigraph import BipartiteMultigraph, _trail, biregular34_k
 from .checker import (
     FACTOR_LENGTHS,
     EdgeColoring,
     PathFactor,
     SubgraphCertificate,
+    _length_set,
     finish_coloring,
     finish_factor,
     finish_subgraph,
     node_path,
 )
-
-
-class _Dsu:
-    """Union-find with rollback (union by size, no compression)."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.trail: list[int] = []
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.trail.append(rb)
-        return True
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            rb = self.trail.pop()
-            ra = self.parent[rb]
-            self.size[ra] -= self.size[rb]
-            self.parent[rb] = rb
-
-    def comp_size(self, a: int) -> int:
-        return self.size[self.find(a)]
 
 
 def oracle_path_factor(
@@ -73,63 +37,82 @@ def oracle_path_factor(
 
     In any proper path factor every Y-vertex is interior, hence keeps
     exactly 2 of its 4 edges. The search assigns those pairs Y by Y,
-    in `combinations` order on an explicit stack (no recursion),
-    rejecting cycles and oversized components with a union-find, then
-    reads the surviving paths off the chosen edge set.
+    in `combinations` order on an explicit stack (no recursion). Each
+    X-vertex at a path end holds the path's other end and its length
+    (an uncovered one is its own end, at length 0), so a pair that
+    would make an X-vertex's third edge, close a cycle or merge a path
+    longer than the longest allowed is skipped at once, and undoing a
+    pair restores four entries.
+
+    An X-vertex is final once its highest-index Y-neighbour holds a
+    pair: its path can no longer grow there. A pair that leaves a final
+    X-vertex uncovered, or a path of disallowed length between two final
+    ends, is undone before the search goes deeper, so every complete
+    assignment it reaches is a factor and the first one is returned.
+
+    A factor of a graph with |X| = 4k has k paths holding all 6k edges,
+    so c_l paths of length l give c_8 = 2·c_2 + c_4 and
+    3·c_2 + 2·c_4 + c_6 = k. When no such counts use only allowed
+    lengths (for k >= 1: without 6, the set needs 8 and a solution of
+    3·c_2 + 2·c_4 = k), the answer is None without a search.
     """
-    biregular34_k(g)
-    allowed = frozenset(lengths)
-    if not allowed or not allowed <= set(FACTOR_LENGTHS):
-        raise ValueError(f"lengths must be a nonempty subset of {FACTOR_LENGTHS}")
-    cap = max(allowed) + 1  # vertices on the longest allowed path
+    k = biregular34_k(g)
+    allowed = _length_set(lengths)
+    if k and 6 not in allowed and not (8 in allowed and any(
+            (k - 3 * c2) % 2 == 0 and (k == 3 * c2 or 4 in allowed)
+            for c2 in range(k // 3 + 1 if 2 in allowed else 1))):
+        return None  # no k allowed lengths sum to 6k
+    longest = max(allowed)
 
     n, ny = g.x_count, g.y_count
+    ex = [x for x, _ in g.edges]
     pairs = [list(combinations([eid for eid, _ in a], 2)) for a in g.y_adj]
+    last = [max(j for _, j in a) for a in g.x_adj]  # per X-vertex: the Y-neighbour that makes it final
+    final_at: list[list[int]] = [[] for _ in range(ny)]
+    for x, j in enumerate(last):
+        final_at[j].append(x)
     xdeg = [0] * n
-    dsu = _Dsu(n + ny)  # Y-vertex j is node n + j
+    end = list(range(n))  # at a path end: the other end
+    plen = [0] * n  # at a path end: the path's length
     chosen: list[int] = []
     tried = [0] * ny  # per depth j: one past the pair placed at Y-vertex j, 0 while none is
-    marks = [0] * ny  # per depth j: the union-find mark before that pair
     j = 0
     while j >= 0:
         if j == ny:
-            if 0 not in xdeg:  # every X-vertex is on a path
-                factor = _read_paths(g, chosen, allowed)
-                if factor is not None:
-                    return finish_factor(g, factor, "path factor oracle")
-            j -= 1
-            continue
+            return finish_factor(g, _read_paths(g, chosen, end), "path factor oracle")
         t = tried[j]
         if t:  # undo the previous try
-            e2, e1 = chosen.pop(), chosen.pop()
-            xdeg[g.edges[e1][0]] -= 1
-            xdeg[g.edges[e2][0]] -= 1
-            dsu.rollback(marks[j])
+            for x in (ex[chosen.pop()], ex[chosen.pop()]):  # x is a path end again
+                xdeg[x] -= 1
+                a = end[x] if xdeg[x] else x  # its old partner, itself if uncovered
+                end[a], plen[a] = x, plen[x] if xdeg[x] else 0
         while t < len(pairs[j]):
             e1, e2 = pairs[j][t]
             t += 1
-            x1, x2 = g.edges[e1][0], g.edges[e2][0]
-            if xdeg[x1] >= 2 or xdeg[x2] >= 2 or (x1 == x2 and xdeg[x1] >= 1):
+            x1, x2 = ex[e1], ex[e2]
+            if xdeg[x1] >= 2 or xdeg[x2] >= 2 or x1 == x2 or end[x1] == x2:
                 continue
-            mark = dsu.mark()
-            if dsu.union(x1, n + j) and dsu.union(x2, n + j) and dsu.comp_size(n + j) <= cap:
-                xdeg[x1] += 1
-                xdeg[x2] += 1
-                chosen += (e1, e2)
-                marks[j] = mark
-                break
-            dsu.rollback(mark)
+            a, b, merged = end[x1], end[x2], plen[x1] + plen[x2] + 2
+            if merged > longest:
+                continue
+            xdeg[x1] += 1
+            xdeg[x2] += 1
+            end[a], end[b], plen[a], plen[b] = b, a, merged, merged
+            chosen += (e1, e2)
+            break
         else:
             t = 0
         tried[j] = t
+        if t and any(last[x] <= j and (xdeg[x] == 0 or xdeg[x] == 1 and last[end[x]] <= j
+                                       and plen[x] not in allowed) for x in (a, *final_at[j])):
+            continue  # a final X-vertex is uncovered, or a closed path has a disallowed length
         j += 1 if t else -1
     return None
 
 
-def _read_paths(g: BipartiteMultigraph, chosen: list[int], allowed: frozenset[int]) -> PathFactor | None:
-    """The paths an edge set of maximum degree 2 forms, ordered by their
-    smaller X-end and walked from it; None when the set holds a cycle, a
-    path ending on the Y side or a length outside `allowed`."""
+def _read_paths(g: BipartiteMultigraph, chosen: list[int], end: list[int]) -> PathFactor:
+    """The paths of the factor `chosen`, each walked from its smaller
+    X-end (`end` pairs them up), in the order of those ends."""
     n = g.x_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n + g.y_count)]
     for eid in chosen:
@@ -137,19 +120,8 @@ def _read_paths(g: BipartiteMultigraph, chosen: list[int], allowed: frozenset[in
         adj[x].append((eid, n + y))
         adj[n + y].append((eid, x))
     used = bytearray(g.edge_count)
-    walks = []
-    for comp in _node_components(adj):
-        ends = [u for u in comp if len(adj[u]) == 1]  # ascending, X-vertices first
-        if not ends and not adj[comp[0]]:
-            continue  # a vertex no chosen edge touches
-        if len(ends) != 2 or ends[1] >= n:
-            return None  # a cycle, or a path with a Y-end
-        nodes, eids = _trail(adj, used, ends[0])
-        if len(eids) not in allowed:
-            return None
-        walks.append((nodes, eids))
-    walks.sort()  # by smaller X-end: the ends differ
-    return PathFactor(tuple(node_path(n, *w) for w in walks))
+    return PathFactor(tuple(node_path(n, *_trail(adj, used, x))
+                            for x in range(n) if len(adj[x]) == 1 and x < end[x]))
 
 
 def oracle_interval_coloring(g: BipartiteMultigraph, palette: int) -> EdgeColoring | None:

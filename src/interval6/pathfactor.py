@@ -60,6 +60,7 @@ from .checker import (
     Path,
     PathFactor,
     SubgraphCertificate,
+    _length_set,
     finish_factor,
     finish_subgraph,
     node_path,
@@ -539,9 +540,7 @@ def search_proper_path_factor(
     max_nodes + 1`), which is distinct from the definitive "none".
     """
     biregular34_k(g)
-    allowed = frozenset(lengths)
-    if not allowed or not allowed <= set(FACTOR_LENGTHS):
-        raise ValueError(f"lengths must be a nonempty subset of {FACTOR_LENGTHS}")
+    allowed = _length_set(lengths)
     longest = max(allowed)
     cap = math.inf if max_nodes is None else max_nodes
 

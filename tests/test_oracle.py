@@ -1,6 +1,7 @@
-"""The explicit-stack oracles against their recursive originals."""
+"""The explicit-stack oracles against their recursive originals and the pivot search."""
 
 import random
+import time
 from itertools import combinations
 
 from helpers import disjoint_k43, random_24_biregular, recursion_limit
@@ -22,7 +23,8 @@ from interval6.generators import (
     subset_graph_6,
     two_eight_triples,
 )
-from interval6.oracle import _Dsu, _read_paths, oracle_interval_coloring, oracle_path_factor
+from interval6.oracle import oracle_interval_coloring, oracle_path_factor
+from interval6.pathfactor import search_proper_path_factor
 
 
 def oracle_interval_coloring_recursive(g, palette):
@@ -105,6 +107,46 @@ def test_interval_oracle_does_not_recurse():
     with recursion_limit(60):
         got = oracle_interval_coloring(g, 2)
     assert got is not None and len(got.colors) == 2 * n
+
+
+# The rollback union-find the library's path-end search replaced, kept
+# verbatim for the recursive reference below.
+class _Dsu:
+    """Union-find with rollback (union by size, no compression)."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.trail: list[int] = []
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.trail.append(rb)
+        return True
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def rollback(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            rb = self.trail.pop()
+            ra = self.parent[rb]
+            self.size[ra] -= self.size[rb]
+            self.parent[rb] = rb
+
+    def comp_size(self, a: int) -> int:
+        return self.size[self.find(a)]
 
 
 def oracle_path_factor_recursive(
@@ -206,7 +248,8 @@ LENGTH_SETS = ((2, 4, 6, 8), (6,), (2, 4), (6, 8))
 def test_path_oracle_matches_recursive_on_seeded_graphs():
     # random k=1 and k=2 graphs, simple and multigraph, and the shipped
     # families, under every length set; the subset graph under (2, 4)
-    # is left out: both searches exhaust it in about 15 s
+    # is left out: the recursive reference still needs about 15 s to
+    # exhaust it
     graphs = [
         random_34_biregular(k, seed=s, simple_only=simple)
         for k in (1, 2) for s in range(12) for simple in (True, False)
@@ -224,25 +267,46 @@ def test_path_oracle_matches_recursive_on_seeded_graphs():
     assert 0 < found < len(graphs + shipped) * len(LENGTH_SETS)
 
 
-def test_read_paths_matches_reference_on_random_edge_sets():
-    # two edges per Y-vertex, X-degrees at most 2 (as the oracle chooses):
-    # paths, cycles, paths ending on the Y side and uncovered X-vertices
-    rng = random.Random(31)
+ALL_LENGTH_SETS = [ls for r in range(1, 5) for ls in combinations(FACTOR_LENGTHS, r)]
+
+
+def test_path_oracle_finds_exactly_when_the_pivot_search_does():
+    # every nonempty length set on random k=1 and k=2 graphs, simple and
+    # multigraph: the two searches share no code past the length set
     outcomes = set()
-    for trial in range(400):
-        g = random_34_biregular(rng.choice((1, 2)), seed=trial, simple_only=False)
-        chosen = [e for a in g.y_adj for e, _ in rng.sample(a, 2)]
-        xdeg = [0] * g.x_count
-        for e in chosen:
-            xdeg[g.edges[e][0]] += 1
-        if max(xdeg) > 2:
-            continue
-        for lengths in LENGTH_SETS:
-            allowed = frozenset(lengths)
-            got = _read_paths(g, chosen, allowed)
-            assert got == read_paths_reference(g, chosen, allowed)
-            outcomes.add(got is None)
+    for k in (1, 2):
+        for s in range(12):
+            for simple in (True, False):
+                g = random_34_biregular(k, seed=s, simple_only=simple)
+                for lengths in ALL_LENGTH_SETS:
+                    none = oracle_path_factor(g, lengths) is None
+                    res = search_proper_path_factor(g, max_nodes=None, lengths=lengths)
+                    assert none == (res.status == "none"), (k, s, simple, lengths)
+                    outcomes.add(none)
     assert outcomes == {True, False}
+
+
+def test_path_oracle_refutes_the_subset_graph_by_counting():
+    # k=5 paths must hold 30 edges: no 5 lengths from these sets sum to that
+    subset = subset_graph_6()[0]
+    for lengths in ((2, 4), (2, 8), (4, 8), (8,)):
+        assert oracle_path_factor(subset, lengths) is None
+
+
+def test_path_oracle_returns_the_empty_factor_of_the_empty_graph():
+    for lengths in ALL_LENGTH_SETS:
+        assert oracle_path_factor(build(0, 0, []), lengths) == PathFactor(())
+
+
+def test_path_oracle_rejects_a_disallowed_length_when_the_path_closes():
+    # a path of length 2 or 4 is refused as it closes; refused only at
+    # complete assignments, this took 12,502 of them and about 0.4 s
+    g = two_eight_triples()[0]
+    start = time.perf_counter()
+    got = oracle_path_factor(g, (6, 8))
+    assert time.perf_counter() - start < 0.05
+    assert got is not None and check_proper_path_factor(g, got)
+    assert {p.length for p in got.paths} <= {6, 8}
 
 
 def test_path_oracle_does_not_recurse():
