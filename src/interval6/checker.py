@@ -267,7 +267,7 @@ def finish_coloring(g: BipartiteMultigraph, coloring: EdgeColoring, route: str) 
         raise InvariantError(f"{route} produced a color clash") from exc
     if gap is not None:
         v, got = gap
-        raise InvariantError(f"colors {got} at {v.label} are not consecutive")
+        raise InvariantError(f"{route} failed: colors {got} at {v.label} are not consecutive")
     return coloring
 
 

@@ -12,7 +12,7 @@ import multiprocessing
 import os
 import sys
 
-from .bigraph import BipartiteMultigraph, from_json, to_dot, to_json
+from .bigraph import BipartiteMultigraph, from_json, to_dict, to_dot, to_json
 from .checker import (
     EdgeColoring,
     PathFactor,
@@ -233,7 +233,7 @@ def _hunt_trial(task: tuple[int, int, int]) -> tuple[str, dict | None]:
         return res.status, None
     # a definitive miss is publishable; double-check before shouting
     confirmed = oracle_path_factor(g) is None
-    return "none" if confirmed else "disagree", json.loads(to_json(g))
+    return "none" if confirmed else "disagree", to_dict(g)
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:

@@ -18,7 +18,9 @@ An independent transversal is an exact cover, found by the engine the
 Y-cover and full-3-regular searches share (`pathfactor._exact_cover`):
 each triple is a primary column, covered by exactly one member, and
 each F-edge a secondary column, with at most one end chosen. The spread
-search keeps its own explicit-stack loop.
+search keeps its own explicit-stack loop: every window of 4 consecutive
+cycle vertices must hold a member, so it counts per window the vertices
+chosen or in open triples and undoes a choice that leaves one at 0.
 
 Before searching for an independent transversal, `_hall_refutes`
 checks Hall's marriage condition (P. Hall, 1935) between the triples
@@ -32,7 +34,6 @@ exhaust a tree exponential in the number of triples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -299,78 +300,53 @@ def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict
 def _spread_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict[int, int] | None:
     """Complete backtracking for a spread transversal of whole components.
 
-    Triples are taken in ascending order and their members in triple
-    order, on an explicit stack (no recursion). After each choice the
-    partial transversal must stay feasible: every F-cycle through the
-    triples can still get a member and close its gaps over 3 from the
-    open triples on it, and the open triples cover the summed need. Each
-    cycle's need (None when it cannot be met) is cached with a running
-    total, and choosing or undoing triple i recomputes only the cycles
-    holding a vertex of i, the only ones whose members or open triples
-    change. A full assignment must pass `_spread_violation`.
+    A window is a cycle vertex with the up to 3 vertices before it (a
+    cycle shorter than 4 is one window); gaps are at most 3 exactly when
+    every window holds a member. Triples are taken in ascending order and
+    their members in triple order, on an explicit stack (no recursion).
+    Each window counts its vertices that are chosen or whose triple is
+    open. Choosing y from triple i closes i, so only the windows through
+    i's two other members lose one, and a choice that leaves one of them
+    at 0, a window no completion can reach, is undone at once. A full
+    assignment must pass `_spread_violation`.
     """
     cids = _cycles_through(f, ts, idxs)
     if len(cids) > len(idxs):
         return None  # each cycle needs a member and triples give one each
-    triple_of = ts.triple_of
-    touched = {i: {f.cycle_index[y] for y in ts.triples[i]} for i in idxs}
-    members: set[int] = set()
+    windows_of: dict[int, list[int]] = {}  # vertex -> the windows it lies in
+    live: list[int] = []  # per window: vertices chosen or with their triple open
+    for c in cids:
+        cyc = f.cycles[c]
+        span = min(len(cyc), 4)
+        for p in range(len(cyc) if span == 4 else 1):
+            for t in range(span):  # negative positions wrap around the cycle
+                windows_of.setdefault(cyc[p - t], []).append(len(live))
+            live.append(span)
+    # member y -> the windows of its triple mates, which choosing y closes
+    drops = {y: [w for v in ts.triples[i] if v != y for w in windows_of[v]] for i in idxs for y in ts.triples[i]}
     chosen: dict[int, int] = {}
-
-    def need_of(cyc: tuple[int, ...]) -> int | None:
-        """Members still needed on `cyc` from its open triples, None if too few."""
-        gaps = _gaps(cyc, members)
-        if gaps is None:
-            if all(triple_of[y] in chosen for y in cyc):
-                return None
-            return math.ceil(len(cyc) / 4)
-        total = 0
-        for start, gap in gaps:
-            if gap <= 3:
-                continue
-            arc = [cyc[t % len(cyc)] for t in range(start, start + gap)]
-            pots = {triple_of[y] for y in arc if triple_of[y] not in chosen}
-            need = math.ceil((gap - 3) / 4)
-            if len(pots) < need:
-                return None
-            total += need
-        return total
-
-    needs = {c: need_of(f.cycles[c]) for c in cids}
-    blocked = sum(n is None for n in needs.values())
-    total_need = sum(n for n in needs.values() if n is not None)
-
-    def refresh(i: int) -> None:
-        nonlocal blocked, total_need
-        for c in touched[i]:
-            old, new = needs[c], need_of(f.cycles[c])
-            needs[c] = new
-            blocked += (new is None) - (old is None)
-            total_need += (new or 0) - (old or 0)
-
     order = sorted(idxs)
     tried = [0] * len(order)  # members of order[at] tried so far, per depth
     at = 0
     while at >= 0:
         if at == len(order):
-            if _spread_violation((f.cycles[c] for c in cids), members) is None:
+            if _spread_violation((f.cycles[c] for c in cids), set(chosen.values())) is None:
                 return chosen
             at -= 1
             continue
         i = order[at]
         if tried[at]:  # undo the previous try
-            members.discard(chosen.pop(i))
-            refresh(i)
+            for w in drops[chosen.pop(i)]:
+                live[w] += 1
         if tried[at] == 3:
             tried[at] = 0
             at -= 1
             continue
-        y = ts.triples[i][tried[at]]
+        y = chosen[i] = ts.triples[i][tried[at]]
         tried[at] += 1
-        chosen[i] = y
-        members.add(y)
-        refresh(i)
-        if not blocked and total_need <= len(order) - len(chosen):
+        for w in drops[y]:
+            live[w] -= 1
+        if all(live[w] for w in drops[y]):
             at += 1
     return None
 

@@ -454,7 +454,7 @@ def reference_color_from_factor(g: BipartiteMultigraph, factor: PathFactor) -> E
         raise InvariantError("construction produced a color clash") from exc
     if bad is not None:
         v, got = bad
-        raise InvariantError(f"colors {got} at {v.label} are not consecutive")
+        raise InvariantError(f"construction failed: colors {got} at {v.label} are not consecutive")
     return out
 
 
@@ -600,7 +600,7 @@ def test_fake_factors_match_reference(factored, seeded, monkeypatch):
         "vertex x",
         "construction left an edge uncolored",
         "construction produced a color clash",
-        "colors ",
+        "construction failed",
     }
 
 

@@ -16,6 +16,7 @@ from interval6.checker import (
     factor_from_dict,
     path_factor_violation,
 )
+from interval6.generators import random_34_biregular
 
 
 def run(capsys, *args):
@@ -406,6 +407,19 @@ def test_hunt_archives_counterexamples(capsys, tmp_path, monkeypatch):
     assert "COUNTEREXAMPLE" in err
     saved = archive / "counterexample_k2_seed21.json"
     assert from_json(saved.read_text()).edge_count == 12
+
+
+def test_hunt_archives_the_graph_it_drew(capsys, tmp_path, monkeypatch):
+    # a search and an oracle that both report no factor make every trial
+    # a counterexample; each archived file holds its graph's JSON
+    monkeypatch.setattr(cli, "search_proper_path_factor", lambda g, max_nodes: pathfactor.SearchResult("none", None, 0))
+    monkeypatch.setattr(cli, "oracle_path_factor", lambda g: None)
+    archive = tmp_path / "hits"
+    code, out, _ = run(capsys, "hunt", "--k", "2", "--trials", "2", "--seed", "5", "--archive", str(archive))
+    assert code == 1 and json.loads(out)["counterexample_seeds"] == [5, 6]
+    for seed in (5, 6):
+        saved = (archive / f"counterexample_k2_seed{seed}.json").read_text()
+        assert saved == to_json(random_34_biregular(2, seed=seed, simple_only=True))
 
 
 def test_export_plain_and_colored(capsys, tmp_path):

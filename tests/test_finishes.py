@@ -116,6 +116,12 @@ def first_color_twice(colors, palette):
     return EdgeColoring((colors[1],) + tuple(colors[1:]), palette)
 
 
+def ones_and_sixes_swapped(colors, palette):
+    """The route's coloring with colors 1 and 6 exchanged: still proper,
+    but the colors 1, 2, 3 at a vertex become 2, 3, 6."""
+    return EdgeColoring(tuple({1: 6, 6: 1}.get(c, c) for c in colors), palette)
+
+
 @pytest.mark.parametrize("corrupt, route, message", [
     (lambda mp: mp.setattr(pathfactor, "Path", backwards_path),
      lambda: pathfactor.p7_factor_via_24(K43), "via24 construction failed: path 0: "),
@@ -132,8 +138,12 @@ def first_color_twice(colors, palette):
      lambda: coloring.color_from_factor(*subset_graph_6()), "construction produced a color clash"),
     (lambda mp: mp.setattr(oracle, "EdgeColoring", first_color_twice),
      lambda: oracle.oracle_interval_coloring(K43, 6), "coloring oracle produced a color clash"),
+    (lambda mp: mp.setattr(coloring, "EdgeColoring", ones_and_sixes_swapped),
+     lambda: coloring.color_from_factor(*subset_graph_6()), "construction failed: colors (2, 3, 6) at x0 "),
+    (lambda mp: mp.setattr(oracle, "EdgeColoring", ones_and_sixes_swapped),
+     lambda: oracle.oracle_interval_coloring(K43, 6), "coloring oracle failed: colors (2, 3, 6) at x0 "),
 ], ids=["via24", "transversal", "factor-oracle", "subgraph-search", "subgraph-oracle", "coloring",
-        "coloring-oracle"])
+        "coloring-oracle", "coloring-gap", "coloring-oracle-gap"])
 def test_each_finish_names_its_corrupted_route(monkeypatch, corrupt, route, message):
     route()  # uncorrupted, the route passes its finish
     corrupt(monkeypatch)

@@ -774,6 +774,44 @@ def test_mixed_transversals_pinned_on_core_pool(monkeypatch):
     assert digest.hexdigest() == "4ba81a642cb261952a74398a1693f29456a32d2411658f16b8417a0778319293"
 
 
+def pool_cores(monkeypatch, rounds, prefix):
+    """(F, triples) of each planted core whose label starts with
+    `prefix`, over the first `rounds` rounds of the benchmark's seed-7
+    transversal_core pool."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    from interval6.bigraph import from_json
+
+    for inst in workloads.build_pool("transversal_core", 7, rounds=rounds):
+        if inst.pipeline is workloads.run_core and inst.label.startswith(prefix):
+            g = from_json(inst.args[0])
+            yield build_f(g, search_full_3regular(g, max_nodes=workloads.CORE_MAX_NODES))
+
+
+def test_spread_transversals_pinned_on_k20_cores(monkeypatch):
+    # sha256 of find_spread_transversal over all of F on the 18 k=20 cores
+    # of the pool's first 6 rounds, computed with the search that kept
+    # per-cycle gap needs.
+    digest = hashlib.sha256()
+    cores = 0
+    for f, ts in pool_cores(monkeypatch, 6, "k=20 "):
+        digest.update(repr(find_spread_transversal(f, ts)).encode() + b"\n")
+        cores += 1
+    assert cores == 18
+    assert digest.hexdigest() == "c4def8b44fcb7b1f58f0554f90c9808de0fcba7899c632c7c44fdf8215a50d74"
+
+
+def test_spread_search_fast_on_k30_core(monkeypatch):
+    """A k=30 core of the pool (F-cycles of 74, 12, 2 and 2 vertices, one
+    F* component): the search that kept per-cycle gap needs took about
+    7 s to return this transversal."""
+    [(f, ts)] = pool_cores(monkeypatch, 12, "k=30 seed=6327202122991158305")
+    got, dt = timed(find_spread_transversal, f, ts)
+    assert got == (5, 11, 28, 9, 51, 10, 20, 3, 61, 84, 64, 48, 57, 53, 2,
+                   43, 7, 83, 75, 62, 4, 44, 41, 8, 22, 52, 74, 25, 66, 73)
+    assert dt < 2.0
+
+
 def test_independent_search_does_not_recurse():
     """1200 triples: the recursive search raised RecursionError here (after
     about 25 s), one frame per chosen triple."""
