@@ -47,6 +47,7 @@ from .pathfactor import (
     find_y_cover,
     p3_half_factor,
     p7_factor_via_24,
+    pivot_path_factor,
     search_full_3regular,
     search_proper_path_factor,
     two_color_pgraph,
@@ -101,6 +102,7 @@ __all__ = [
     "find_y_cover",
     "p7_factor_via_24",
     "search_proper_path_factor",
+    "pivot_path_factor",
     "search_full_3regular",
     "SearchResult",
     "FGraph",

@@ -37,6 +37,7 @@ from .generators import (
 from .oracle import oracle_interval_coloring, oracle_path_factor
 from .pathfactor import (
     p7_factor_via_24,
+    pivot_path_factor,
     search_full_3regular,
     search_proper_path_factor,
 )
@@ -231,9 +232,10 @@ def _hunt_trial(task: tuple[int, int, int]) -> tuple[str, dict | None]:
     res = search_proper_path_factor(g, max_nodes=max_nodes)
     if res.status != "none":
         return res.status, None
-    # a definitive miss is publishable; double-check before shouting
-    confirmed = oracle_path_factor(g) is None
-    return "none" if confirmed else "disagree", to_dict(g)
+    # a definitive miss is publishable; double-check with the pivot search,
+    # which shares no search code with the per-Y engine, before shouting
+    ref = pivot_path_factor(g, max_nodes=max_nodes).status
+    return {"none": "none", "found": "disagree"}.get(ref, "unconfirmed"), to_dict(g)
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
@@ -249,6 +251,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     tallies = {"factor": 0, "none": 0, "unknown": 0}
     hits = []
     disagreements = []
+    unconfirmed = []
     for i, (status, graph) in enumerate(results):
         if status == "found":
             tallies["factor"] += 1
@@ -256,9 +259,11 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             tallies["unknown"] += 1
         elif status == "disagree":
             disagreements.append(args.seed + i)
-        else:
+        else:  # "none", or "unconfirmed" when the reference hit its node cap
             tallies["none"] += 1
             hits.append({"seed": args.seed + i, "graph": graph})
+            if status == "unconfirmed":
+                unconfirmed.append(args.seed + i)
 
     for hit in hits:
         os.makedirs(args.archive, exist_ok=True)
@@ -274,6 +279,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         "max_nodes": args.max_nodes,
         "tallies": tallies,
         "counterexample_seeds": [h["seed"] for h in hits],
+        "unconfirmed_seeds": unconfirmed,
         "search_oracle_disagreements": disagreements,
     })
     return EXIT_NONE if hits or disagreements else EXIT_OK

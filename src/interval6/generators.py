@@ -17,7 +17,7 @@ from itertools import combinations
 from . import bigraph
 from .bigraph import BipartiteMultigraph, build, xv, yv
 from .checker import Path, PathFactor, check_proper_path_factor, finish_factor
-from .pathfactor import search_proper_path_factor
+from .pathfactor import pivot_path_factor
 from .transversal import FEdge, FGraph, TripleSystem
 
 # Explicit path factor of the subset graph: five alternating runs of
@@ -269,13 +269,13 @@ def no_mixed_transversal_instance() -> tuple[FGraph, TripleSystem]:
 def two_eight_triples() -> tuple[BipartiteMultigraph, PathFactor]:
     """Two spliced copies of the eight-triples graph, with a factor.
 
-    Each copy has an all-lengths-6 factor (found by search) but no
-    Y-cover; the splice keeps both properties while doubling the size,
-    giving a 2-edge-connected instance that the coverage-based pipeline
-    cannot handle.
+    Each copy has an all-lengths-6 factor (found by the pivot search)
+    but no Y-cover; the splice keeps both properties while doubling the
+    size, giving a 2-edge-connected instance that the coverage-based
+    pipeline cannot handle.
     """
     g = eight_triples_graph()
-    res = search_proper_path_factor(g, lengths=(6,))
+    res = pivot_path_factor(g, lengths=(6,))
     if res.status != "found":
         raise RuntimeError("eight-triples factor search failed unexpectedly")
     e = next(eid for eid in range(g.edge_count) if eid not in res.factor.edge_ids())

@@ -31,17 +31,20 @@ returns; `p3_half_factor` wraps the same kernel.
 `search_proper_path_factor` and `search_full_3regular` are bounded
 exhaustive searches used when no structure is known. Neither recurses:
 `search_full_3regular` (like `find_y_cover`) runs the explicit-stack
-exact cover `_exact_cover`, and `search_proper_path_factor` grows paths
-from pivot vertices in one explicit-stack loop over integer node ids,
-counting one node per pivot choice and per arm end, and stopping at the
-node past its cap.
+exact cover `_exact_cover`, and `search_proper_path_factor` runs
+`_pair_search`, which gives each Y-vertex 2 of its 4 edges on one
+explicit stack over integer node ids, counting one node per visit to a
+Y depth and stopping at the node past its cap. `oracle_path_factor` is
+the same engine without a cap. `pivot_path_factor`, which grows whole
+paths from pivot X-vertices, is the structurally different reference
+the two are cross-checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bigraph import (
@@ -509,7 +512,111 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     return finish_factor(g, PathFactor(tuple(paths)), "via24 construction")
 
 
-_PIVOT, _RIGHT, _LEFT = "pivot", "right", "left"  # search steps
+Walk = tuple[list[int], list[int]]  # a path as (node ids, edge ids)
+
+
+def _pair_search(
+    g: BipartiteMultigraph, max_nodes: int | None, lengths: tuple[int, ...]
+) -> tuple[str, list[Walk] | None, int]:
+    """Exhaustive proper path factor search by per-Y edge pairs.
+
+    In any proper path factor every Y-vertex is interior, hence keeps
+    exactly 2 of its 4 edges. The search assigns those pairs Y by Y,
+    in `combinations` order on an explicit stack (no recursion). Each
+    X-vertex at a path end holds the path's other end and its length
+    (an uncovered one is its own end, at length 0), so a pair that
+    would make an X-vertex's third edge, close a cycle or merge a path
+    longer than the longest allowed is skipped at once, and undoing a
+    pair restores four entries.
+
+    An X-vertex is final once its highest-index Y-neighbour holds a
+    pair: its path can no longer grow there. A pair that leaves a final
+    X-vertex uncovered, or a path of disallowed length between two final
+    ends, is undone before the search goes deeper, so every complete
+    assignment it reaches is a factor and the first one is returned.
+
+    A factor of a graph with |X| = 4k has k paths holding all 6k edges,
+    so c_l paths of length l give c_8 = 2·c_2 + c_4 and
+    3·c_2 + 2·c_4 + c_6 = k. When no such counts use only allowed
+    lengths (for k >= 1: without 6, the set needs 8 and a solution of
+    3·c_2 + 2·c_4 = k), the answer is "none" at 0 nodes.
+
+    Counts one node per visit to a search depth: a Y index, or the leaf
+    past the last one. The node past `max_nodes` (None: no cap) ends the
+    search as "unknown". Returns (status, walks, nodes); on "found" the
+    walks are the factor's paths, each from its smaller X-end, in the
+    order of those ends, and otherwise None.
+    """
+    k = biregular34_k(g)
+    allowed = _length_set(lengths)
+    if k and 6 not in allowed and not (8 in allowed and any(
+            (k - 3 * c2) % 2 == 0 and (k == 3 * c2 or 4 in allowed)
+            for c2 in range(k // 3 + 1 if 2 in allowed else 1))):
+        return "none", None, 0  # no k allowed lengths sum to 6k
+    longest = max(allowed)
+    cap = math.inf if max_nodes is None else max_nodes
+
+    n, ny = g.x_count, g.y_count
+    ex = [x for x, _ in g.edges]
+    pairs = [list(combinations([eid for eid, _ in a], 2)) for a in g.y_adj]
+    last = [max(j for _, j in a) for a in g.x_adj]  # per X-vertex: the Y-neighbour that makes it final
+    final_at: list[list[int]] = [[] for _ in range(ny)]
+    for x, j in enumerate(last):
+        final_at[j].append(x)
+    xdeg = [0] * n
+    end = list(range(n))  # at a path end: the other end
+    plen = [0] * n  # at a path end: the path's length
+    chosen: list[int] = []
+    tried = [0] * ny  # per depth j: one past the pair placed at Y-vertex j, 0 while none is
+    nodes = 0
+    j = 0
+    while j >= 0:
+        nodes += 1
+        if nodes > cap:
+            return "unknown", None, nodes
+        if j == ny:
+            return "found", _walks(g, chosen, end), nodes
+        t = tried[j]
+        if t:  # undo the previous try
+            for x in (ex[chosen.pop()], ex[chosen.pop()]):  # x is a path end again
+                xdeg[x] -= 1
+                a = end[x] if xdeg[x] else x  # its old partner, itself if uncovered
+                end[a], plen[a] = x, plen[x] if xdeg[x] else 0
+        while t < len(pairs[j]):
+            e1, e2 = pairs[j][t]
+            t += 1
+            x1, x2 = ex[e1], ex[e2]
+            if xdeg[x1] >= 2 or xdeg[x2] >= 2 or x1 == x2 or end[x1] == x2:
+                continue
+            a, b, merged = end[x1], end[x2], plen[x1] + plen[x2] + 2
+            if merged > longest:
+                continue
+            xdeg[x1] += 1
+            xdeg[x2] += 1
+            end[a], end[b], plen[a], plen[b] = b, a, merged, merged
+            chosen += (e1, e2)
+            break
+        else:
+            t = 0
+        tried[j] = t
+        if t and any(last[x] <= j and (xdeg[x] == 0 or xdeg[x] == 1 and last[end[x]] <= j
+                                       and plen[x] not in allowed) for x in (a, *final_at[j])):
+            continue  # a final X-vertex is uncovered, or a closed path has a disallowed length
+        j += 1 if t else -1
+    return "none", None, nodes
+
+
+def _walks(g: BipartiteMultigraph, chosen: list[int], end: list[int]) -> list[Walk]:
+    """The paths of the factor `chosen`, each walked from its smaller
+    X-end (`end` pairs them up), in the order of those ends."""
+    n = g.x_count
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + g.y_count)]
+    for eid in chosen:
+        x, y = g.edges[eid]
+        adj[x].append((eid, n + y))
+        adj[n + y].append((eid, x))
+    used = bytearray(g.edge_count)
+    return [_trail(adj, used, x) for x in range(n) if len(adj[x]) == 1 and x < end[x]]
 
 
 def search_proper_path_factor(
@@ -517,7 +624,36 @@ def search_proper_path_factor(
     max_nodes: int | None = 10_000_000,
     lengths: tuple[int, ...] = FACTOR_LENGTHS,
 ) -> SearchResult:
+    """Bounded exhaustive factor search by per-Y edge pairs (`_pair_search`).
+
+    Counts one node per visit to a Y depth, the leaf included, so a
+    graph with 3k Y-vertices needs at least 3k + 1 nodes to a factor.
+    `max_nodes` bounds that count (None: no cap); the node past it ends
+    the search with status "unknown" (and `nodes == max_nodes + 1`),
+    which is distinct from the definitive "none". A length set that no
+    k paths can use to hold all 6k edges is "none" at 0 nodes.
+    """
+    status, walks, nodes = _pair_search(g, max_nodes, lengths)
+    if walks is None:
+        return SearchResult(status, None, nodes)
+    factor = PathFactor(tuple(node_path(g.x_count, *w) for w in walks))
+    return SearchResult(status, finish_factor(g, factor, "factor search"), nodes)
+
+
+_PIVOT, _RIGHT, _LEFT = "pivot", "right", "left"  # search steps
+
+
+def pivot_path_factor(
+    g: BipartiteMultigraph,
+    max_nodes: int | None = 10_000_000,
+    lengths: tuple[int, ...] = FACTOR_LENGTHS,
+) -> SearchResult:
     """Exhaustive factor search by growing paths from pivot vertices.
+
+    The structurally different reference for `search_proper_path_factor`
+    (which `hunt` uses to confirm a "none"): it shares no search code
+    with `_pair_search`, and takes the same arguments and returns the
+    same `SearchResult` contract, with its own node count.
 
     Repeatedly picks the lowest uncovered X-vertex as the pivot of a new
     path and enumerates every path through it: first a right arm, and at

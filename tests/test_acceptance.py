@@ -51,6 +51,7 @@ from interval6.pathfactor import (
     find_y_cover,
     p3_half_factor,
     p7_factor_via_24,
+    pivot_path_factor,
     search_full_3regular,
     search_proper_path_factor,
 )
@@ -249,14 +250,14 @@ def test_criterion_12_search_and_oracle_agree():
     total = 0
     for g in (claw_triple_graph(), eight_triples_graph(), k34()):
         total += 1
-        res = search_proper_path_factor(g)
+        res = pivot_path_factor(g)
         agreements += (res.status == "found") == (oracle_path_factor(g) is not None)
     while total < 500:
         total += 1
         k = rng.choice([1, 2, 3])  # at most 21 vertices
         g = random_34_biregular(k, seed=rng.randrange(10**9),
                                 simple_only=rng.random() < 0.5)
-        res = search_proper_path_factor(g)
+        res = pivot_path_factor(g)
         assert res.status != "unknown"
         agreements += (res.status == "found") == (oracle_path_factor(g) is not None)
     report("12", agreements == total,

@@ -47,8 +47,8 @@ from interval6.pathfactor import (
     build_pgraph,
     build_q,
     p7_factor_via_24,
+    pivot_path_factor,
     search_full_3regular,
-    search_proper_path_factor,
     two_color_pgraph,
 )
 from interval6.transversal import factor_from_mixed_transversal
@@ -204,7 +204,7 @@ def factored():
         for simple in (True, False)
     ]:
         for lengths in [(6,), (2, 4), (6, 8), FACTOR_LENGTHS]:
-            res = search_proper_path_factor(g, max_nodes=20_000, lengths=lengths)
+            res = pivot_path_factor(g, max_nodes=20_000, lengths=lengths)
             if res.status == "found":
                 out.append((g, res.factor))
     for k in (1, 2, 3, 5, 8, 13):
@@ -495,7 +495,7 @@ def seeded():
         for k in ks:
             for _ in range(30):
                 g = random_34_biregular(k, seed=rng.randrange(10**9), simple_only=rng.random() < 0.5)
-                res = search_proper_path_factor(g, max_nodes=5_000, lengths=lengths)
+                res = pivot_path_factor(g, max_nodes=5_000, lengths=lengths)
                 if res.status == "found":
                     out.append((g, res.factor))
     for _ in range(60):

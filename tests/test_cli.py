@@ -379,7 +379,7 @@ def test_hunt_starts_no_more_workers_than_chunks(capsys, tmp_path, monkeypatch):
 
 def test_hunt_bounded_out_reports_unknown(capsys, tmp_path):
     code, out, _ = run(capsys, "hunt", "--k", "2", "--trials", "6", "--seed", "0",
-                       "--max-nodes", "10", "--archive", str(tmp_path / "hits"))
+                       "--max-nodes", "6", "--archive", str(tmp_path / "hits"))
     assert code == 0
     assert json.loads(out)["tallies"] == {"factor": 0, "none": 0, "unknown": 6}
 
@@ -409,17 +409,70 @@ def test_hunt_archives_counterexamples(capsys, tmp_path, monkeypatch):
     assert from_json(saved.read_text()).edge_count == 12
 
 
+def no_factor(g, max_nodes):
+    return pathfactor.SearchResult("none", None, 0)
+
+
 def test_hunt_archives_the_graph_it_drew(capsys, tmp_path, monkeypatch):
-    # a search and an oracle that both report no factor make every trial
+    # a search and a reference that both report no factor make every trial
     # a counterexample; each archived file holds its graph's JSON
-    monkeypatch.setattr(cli, "search_proper_path_factor", lambda g, max_nodes: pathfactor.SearchResult("none", None, 0))
-    monkeypatch.setattr(cli, "oracle_path_factor", lambda g: None)
+    monkeypatch.setattr(cli, "search_proper_path_factor", no_factor)
+    monkeypatch.setattr(cli, "pivot_path_factor", no_factor)
     archive = tmp_path / "hits"
     code, out, _ = run(capsys, "hunt", "--k", "2", "--trials", "2", "--seed", "5", "--archive", str(archive))
     assert code == 1 and json.loads(out)["counterexample_seeds"] == [5, 6]
     for seed in (5, 6):
         saved = (archive / f"counterexample_k2_seed{seed}.json").read_text()
         assert saved == to_json(random_34_biregular(2, seed=seed, simple_only=True))
+
+
+def test_hunt_reports_each_confirmation_outcome(capsys, tmp_path, monkeypatch):
+    # the search finds no factor anywhere; the reference, run under the same
+    # node cap, confirms seed 30, finds a factor at 31 and runs out at 32
+    monkeypatch.setattr(cli, "search_proper_path_factor", no_factor)
+    caps = []
+
+    def reference(g, max_nodes):
+        caps.append(max_nodes)
+        seed = next(s for s in range(30, 33) if g == random_34_biregular(2, seed=s, simple_only=True))
+        return {
+            30: pathfactor.SearchResult("none", None, 5),
+            31: pathfactor.search_proper_path_factor(g),
+            32: pathfactor.SearchResult("unknown", None, 1235),
+        }[seed]
+
+    monkeypatch.setattr(cli, "pivot_path_factor", reference)
+    archive = tmp_path / "hits"
+    code, out, err = run(capsys, "hunt", "--k", "2", "--trials", "3", "--seed", "30",
+                         "--max-nodes", "1234", "--archive", str(archive))
+    assert code == 1 and caps == [1234] * 3
+    assert json.loads(out) == {
+        "k": 2, "trials": 3, "seed": 30, "max_nodes": 1234,
+        "tallies": {"factor": 0, "none": 2, "unknown": 0},
+        "counterexample_seeds": [30, 32],
+        "unconfirmed_seeds": [32],
+        "search_oracle_disagreements": [31],
+    }
+    assert err.count("COUNTEREXAMPLE") == 2
+    assert sorted(f.name for f in archive.iterdir()) == [
+        "counterexample_k2_seed30.json", "counterexample_k2_seed32.json"]
+
+
+def test_hunt_reports_no_unconfirmed_seeds_on_a_clean_run(capsys, tmp_path):
+    code, out, _ = run(capsys, "hunt", "--k", "2", "--trials", "4", "--seed", "0",
+                       "--archive", str(tmp_path / "hits"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["unconfirmed_seeds"] == [] and report["search_oracle_disagreements"] == []
+
+
+def test_gen_two_eight_triples_output_pinned(capsys):
+    # graph and bundled factor as the family wrote them when the pivot
+    # search was still `search_proper_path_factor`
+    code, out, err = run(capsys, "gen", "--family", "two-eight-triples", "--factor-out", "-")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2cb9c09ac258f9ca9b9d8151b7b4a4c5e72a7872674f9708134960bdbfe5734d")
 
 
 def test_export_plain_and_colored(capsys, tmp_path):

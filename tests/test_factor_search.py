@@ -1,6 +1,6 @@
-"""The iterative factor search against the recursive one it replaced.
+"""The iterative pivot search against the recursive one it replaced.
 
-`pathfactor.search_proper_path_factor` must walk the same search tree
+`pathfactor.pivot_path_factor` must walk the same search tree
 as the recursive `Vertex` search below: on every graph, node cap and
 length set it returns an equal `SearchResult` (status, factor and node
 count). The iterative kernel also has no recursion depth to run out of.
@@ -14,7 +14,7 @@ from interval6.bigraph import BipartiteMultigraph, Vertex, biregular34_k, xv
 from interval6.checker import FACTOR_LENGTHS, Path, PathFactor, check_proper_path_factor
 from interval6.errors import BudgetExceeded
 from interval6.generators import claw_triple_graph, eight_triples_graph, random_34_biregular
-from interval6.pathfactor import SearchResult, search_proper_path_factor
+from interval6.pathfactor import SearchResult, pivot_path_factor
 
 
 def reference_search(
@@ -22,7 +22,7 @@ def reference_search(
     max_nodes: int | None = 10_000_000,
     lengths: tuple[int, ...] = FACTOR_LENGTHS,
 ) -> SearchResult:
-    """The recursive search `search_proper_path_factor` replaced.
+    """The recursive search `pivot_path_factor` replaced.
 
     It walks `Vertex` objects through `g.incident` and recurses once per
     search step, so its depth grows with the number of path vertices.
@@ -149,7 +149,7 @@ def test_same_results_as_reference_under_a_cap(cap):
     for g in graphs() + [claw_triple_graph(), eight_triples_graph()]:
         for lengths in LENGTH_SETS:
             want = reference_search(g, max_nodes=cap, lengths=lengths)
-            assert search_proper_path_factor(g, max_nodes=cap, lengths=lengths) == want
+            assert pivot_path_factor(g, max_nodes=cap, lengths=lengths) == want
             stops += want.status == "unknown"
     assert stops > 0
 
@@ -161,7 +161,7 @@ def test_same_results_as_reference_at_the_default_cap():
             if biregular34_k(g) == 4 and lengths == (2, 4):
                 continue  # millions of nodes to "none" in the reference
             want = reference_search(g, lengths=lengths)
-            assert search_proper_path_factor(g, lengths=lengths) == want
+            assert pivot_path_factor(g, lengths=lengths) == want
             statuses.add(want.status)
     assert statuses == {"found", "none"}
 
@@ -170,21 +170,21 @@ def test_same_results_as_reference_on_named_graphs():
     claw = claw_triple_graph()
     want = reference_search(claw)
     assert want.status == "none"
-    assert search_proper_path_factor(claw) == want
+    assert pivot_path_factor(claw) == want
     eight = eight_triples_graph()
     for lengths in LENGTH_SETS:
         want = reference_search(eight, lengths=lengths)
-        assert search_proper_path_factor(eight, lengths=lengths) == want
+        assert pivot_path_factor(eight, lengths=lengths) == want
 
 
 def test_unbounded_search_matches_reference():
     g = graphs()[2]
-    assert search_proper_path_factor(g, max_nodes=None) == reference_search(g, max_nodes=None)
+    assert pivot_path_factor(g, max_nodes=None) == reference_search(g, max_nodes=None)
 
 
 def test_deep_search_stops_at_the_cap_without_recursion():
     """Thousands of path vertices deep: the recursive search raises RecursionError here."""
     g = random_34_biregular(300, seed=2)
-    assert search_proper_path_factor(g, max_nodes=20_000) == SearchResult("unknown", None, 20_001)
+    assert pivot_path_factor(g, max_nodes=20_000) == SearchResult("unknown", None, 20_001)
     with pytest.raises(RecursionError):
         reference_search(g, max_nodes=20_000)

@@ -42,9 +42,9 @@ def python(flags: list[str], *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *flags, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
-# The pivot search's walk-to-Path step gone wrong: each path's vertices
+# A factor search's walk-to-Path step gone wrong: each path's vertices
 # run backwards against its edges.
-CORRUPT_SEARCH = """
+CORRUPT_WALK = """
 import sys
 from interval6 import checker, pathfactor
 from interval6.errors import InvariantError
@@ -53,7 +53,7 @@ from interval6.generators import random_34_biregular
 pathfactor.node_path = lambda n, nodes, eids: checker.node_path(n, list(nodes)[::-1], eids)
 print("optimize", sys.flags.optimize)
 try:
-    res = pathfactor.search_proper_path_factor(random_34_biregular(3, seed=7))
+    res = pathfactor.{search}(random_34_biregular(3, seed=7))
 except InvariantError as exc:
     print("InvariantError:", exc)
 else:
@@ -63,11 +63,21 @@ else:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_corrupted_search_raises_with_and_without_O(flags):
-    got = python(flags, "-c", CORRUPT_SEARCH)
+    got = python(flags, "-c", CORRUPT_WALK.format(search="pivot_path_factor"))
     assert (got.returncode, got.stderr) == (0, "")
     assert got.stdout == (
         f"optimize {len(flags)}\n"
         "InvariantError: pivot search failed: path 0: edge 0 joins x0,y2, not x5,y2\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_corrupted_pair_search_raises_with_and_without_O(flags):
+    got = python(flags, "-c", CORRUPT_WALK.format(search="search_proper_path_factor"))
+    assert (got.returncode, got.stderr) == (0, "")
+    assert got.stdout == (
+        f"optimize {len(flags)}\n"
+        "InvariantError: factor search failed: path 0: edge 13 joins x4,y7, not x6,y1\n"
     )
 
 
@@ -130,6 +140,8 @@ def ones_and_sixes_swapped(colors, palette):
      "transversal construction failed: path 0: "),
     (lambda mp: mp.setattr(oracle, "node_path", backwards_walk),
      lambda: oracle.oracle_path_factor(K43), "path factor oracle failed: path 0: "),
+    (lambda mp: mp.setattr(pathfactor, "node_path", backwards_walk),
+     lambda: pathfactor.search_proper_path_factor(K43), "factor search failed: path 0: "),
     (lambda mp: mp.setitem(CLAW.__dict__, "x_adj", CLAW_AT_X3.x_adj),
      lambda: pathfactor.search_full_3regular(CLAW), "full 3-regular search failed: not a full 3-regular subgraph"),
     (lambda mp: mp.setitem(CLAW.__dict__, "x_adj", CLAW_AT_X3.x_adj),
@@ -142,7 +154,7 @@ def ones_and_sixes_swapped(colors, palette):
      lambda: coloring.color_from_factor(*subset_graph_6()), "construction failed: colors (2, 3, 6) at x0 "),
     (lambda mp: mp.setattr(oracle, "EdgeColoring", ones_and_sixes_swapped),
      lambda: oracle.oracle_interval_coloring(K43, 6), "coloring oracle failed: colors (2, 3, 6) at x0 "),
-], ids=["via24", "transversal", "factor-oracle", "subgraph-search", "subgraph-oracle", "coloring",
+], ids=["via24", "transversal", "factor-oracle", "factor-search", "subgraph-search", "subgraph-oracle", "coloring",
         "coloring-oracle", "coloring-gap", "coloring-oracle-gap"])
 def test_each_finish_names_its_corrupted_route(monkeypatch, corrupt, route, message):
     route()  # uncorrupted, the route passes its finish

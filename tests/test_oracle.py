@@ -24,7 +24,7 @@ from interval6.generators import (
     two_eight_triples,
 )
 from interval6.oracle import oracle_interval_coloring, oracle_path_factor
-from interval6.pathfactor import search_proper_path_factor
+from interval6.pathfactor import pivot_path_factor
 
 
 def oracle_interval_coloring_recursive(g, palette):
@@ -280,7 +280,7 @@ def test_path_oracle_finds_exactly_when_the_pivot_search_does():
                 g = random_34_biregular(k, seed=s, simple_only=simple)
                 for lengths in ALL_LENGTH_SETS:
                     none = oracle_path_factor(g, lengths) is None
-                    res = search_proper_path_factor(g, max_nodes=None, lengths=lengths)
+                    res = pivot_path_factor(g, max_nodes=None, lengths=lengths)
                     assert none == (res.status == "none"), (k, s, simple, lengths)
                     outcomes.add(none)
     assert outcomes == {True, False}
