@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from operator import eq
 
 from . import bigraph
 from .bigraph import BipartiteMultigraph, build, xv, yv
@@ -158,19 +159,29 @@ def random_34_biregular(k: int, seed: int, simple_only: bool = True) -> Bipartit
     a seeded shuffle pairs them up. With simple_only the whole sample is
     rejected and redrawn until the result has no parallel edges (capped
     at 10^4 attempts). Same (k, seed) always yields the same graph.
+
+    The shuffle is Fisher–Yates inlined on `getrandbits`: it reproduces
+    `random.Random(seed).shuffle` draw for draw (each position's index
+    redrawn while it falls past the position, as `Random._randbelow`
+    does), and the reference test in test_generators holds it to that.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     y_stubs = [j for j in range(3 * k) for _ in range(4)]
+    steps = [(i, (i + 1).bit_length()) for i in range(12 * k - 1, 0, -1)]
     for _ in range(10_000):
-        rng.shuffle(y_stubs)
+        for i, bits in steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            y_stubs[i], y_stubs[j] = y_stubs[j], y_stubs[i]
         # X-vertex i takes stubs 3i..3i+2, so a parallel edge is a repeat
         # among three consecutive Y-stubs; only an accepted draw is built
-        if simple_only and any(
-            a == b or a == c or b == c for a, b, c in zip(y_stubs[0::3], y_stubs[1::3], y_stubs[2::3])
-        ):
-            continue
+        if simple_only:
+            a, b, c = y_stubs[0::3], y_stubs[1::3], y_stubs[2::3]
+            if any(map(eq, a, b)) or any(map(eq, a, c)) or any(map(eq, b, c)):
+                continue
         return build(4 * k, 3 * k, [(s // 3, y_stubs[s]) for s in range(12 * k)])
     raise ValueError(f"no simple sample found for k={k}, seed={seed} in 10000 draws")
 

@@ -557,9 +557,15 @@ def _pair_search(
     cap = math.inf if max_nodes is None else max_nodes
 
     n, ny = g.x_count, g.y_count
-    ex = [x for x, _ in g.edges]
-    pairs = [list(combinations([eid for eid, _ in a], 2)) for a in g.y_adj]
-    last = [max(j for _, j in a) for a in g.x_adj]  # per X-vertex: the Y-neighbour that makes it final
+    ex = [0] * g.edge_count  # per edge: its X-end
+    y_eids: list[list[int]] = [[] for _ in range(ny)]  # per Y-vertex: its edges, in edge-id order
+    last = [-1] * n  # per X-vertex: the Y-neighbour that makes it final
+    for eid, (x, y) in enumerate(g.edges):
+        ex[eid] = x
+        y_eids[y].append(eid)
+        if y > last[x]:
+            last[x] = y
+    pairs = [list(combinations(a, 2)) for a in y_eids]
     final_at: list[list[int]] = [[] for _ in range(ny)]
     for x, j in enumerate(last):
         final_at[j].append(x)

@@ -475,6 +475,23 @@ def test_gen_two_eight_triples_output_pinned(capsys):
         "2cb9c09ac258f9ca9b9d8151b7b4a4c5e72a7872674f9708134960bdbfe5734d")
 
 
+def test_hunt_and_random_gen_output_pinned(capsys):
+    # stdout as written while `random_34_biregular` drew on `rng.shuffle`
+    # and the pair search read its adjacency from `g.x_adj` and `g.y_adj`
+    pinned = {
+        ("hunt", "--k", "3", "--trials", "200", "--seed", "1"):
+            "fba76958ef9c47163d0e189a66f96f81275ebacd9bace1e61e6d85bde98526fc",
+        ("gen", "--family", "random", "--k", "3", "--seed", "7"):
+            "7c7b37004fd47cc4f78ffe3e5d0fa83d7aa4335a8ec38f9434320560ae860d9d",
+        ("gen", "--family", "random", "--k", "3", "--seed", "7", "--multi"):
+            "68d89236108cbf2b0996b773a174a955a406b610dfea2337f085568b52a2e608",
+    }
+    for args, want in pinned.items():
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, args
+
+
 def test_export_plain_and_colored(capsys, tmp_path):
     gpath = tmp_path / "g.json"
     fpath = tmp_path / "f.json"

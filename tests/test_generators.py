@@ -86,11 +86,14 @@ def reference_random_34_biregular(k: int, seed: int, simple_only: bool = True):
 
 
 def test_random_biregular_matches_reference():
-    for k in range(1, 7):
-        for seed in range(100):
-            for simple in (True, False):
-                want = reference_random_34_biregular(k, seed, simple_only=simple)
-                assert random_34_biregular(k, seed, simple_only=simple) == want
+    # k = 25 and 100 shuffle 300 and 1,200 stubs: draws of up to 11 bits
+    # against `random.Random.shuffle` on the interpreter running the tests
+    cases = [(k, seed) for k in range(1, 7) for seed in range(100)]
+    cases += [(k, seed) for k in (10, 25, 100) for seed in range(5)]
+    for k, seed in cases:
+        for simple in (True, False):
+            want = reference_random_34_biregular(k, seed, simple_only=simple)
+            assert random_34_biregular(k, seed, simple_only=simple) == want, (k, seed, simple)
 
 
 def test_random_biregular_k1_simple_is_complete():

@@ -5,6 +5,8 @@
 `pivot_path_factor` is the reference it is checked against here.
 """
 
+import hashlib
+import json
 import time
 from itertools import combinations, combinations_with_replacement
 
@@ -12,7 +14,7 @@ import pytest
 from helpers import disjoint_k43, recursion_limit
 
 from interval6.bigraph import biregular34_k
-from interval6.checker import FACTOR_LENGTHS, check_proper_path_factor
+from interval6.checker import FACTOR_LENGTHS, check_proper_path_factor, factor_to_dict
 from interval6.generators import claw_triple_graph, eight_triples_graph, random_34_biregular, subset_graph_6
 from interval6.oracle import oracle_path_factor
 from interval6.pathfactor import SearchResult, pivot_path_factor, search_proper_path_factor
@@ -66,6 +68,18 @@ def test_search_returns_the_uncapped_oracle_factor():
         for lengths in ALL_LENGTH_SETS:
             res = search_proper_path_factor(g, lengths=lengths)
             assert res.factor == oracle_path_factor(g, lengths)
+
+
+def test_search_outcomes_pinned():
+    # sha256 of (status, nodes, factor) as the search gave them when its
+    # set-up read the cached `g.x_adj` and `g.y_adj`
+    digest = hashlib.sha256()
+    for k, seeds in ((3, 200), (4, 50)):
+        for s in range(seeds):
+            res = search_proper_path_factor(random_34_biregular(k, seed=s))
+            factor = None if res.factor is None else factor_to_dict(res.factor)
+            digest.update(json.dumps([res.status, res.nodes, factor], sort_keys=True).encode())
+    assert digest.hexdigest() == "af354d8ca6ac52c6293c5a1d34eb791cbc128a24d27f58744892aa5be32677db"
 
 
 @pytest.mark.parametrize("cap", range(13))
