@@ -30,12 +30,15 @@ class Vertex(NamedTuple):
         return f"{self.side.lower()}{self.index}"
 
 
+# xv, yv and node_vertex build each Vertex with one `tuple.__new__` call,
+# skipping the Python-level `Vertex.__new__` that NamedTuple generates;
+# the result equals, and hashes as, `Vertex(side, index)`.
 def xv(i: int) -> Vertex:
-    return Vertex("X", i)
+    return tuple.__new__(Vertex, ("X", i))
 
 
 def yv(j: int) -> Vertex:
-    return Vertex("Y", j)
+    return tuple.__new__(Vertex, ("Y", j))
 
 
 # A label is its vertex's one spelling: ASCII digits (\d also takes other
@@ -45,7 +48,7 @@ _LABEL_RE = re.compile(r"([xy])(0|[1-9][0-9]*)")
 
 def node_vertex(x_count: int, node: int) -> Vertex:
     """The vertex with node id `node` (see BipartiteMultigraph.node_adj)."""
-    return xv(node) if node < x_count else yv(node - x_count)
+    return tuple.__new__(Vertex, ("X", node) if node < x_count else ("Y", node - x_count))
 
 
 def parse_vertex(label: str) -> Vertex:

@@ -215,16 +215,16 @@ def check_full_3regular(g: BipartiteMultigraph, cert: SubgraphCertificate) -> bo
     """
     if not is_biregular(g, 3, 4):
         raise ValueError("full 3-regular subgraphs are defined over (3,4)-biregular graphs")
-    for eid in cert.edge_set:
-        if not (0 <= eid < g.edge_count):
-            raise ValueError(f"certificate references edge {eid}, graph has {g.edge_count}")
+    m = g.edge_count
     xdeg = [0] * g.x_count
     ydeg = [0] * g.y_count
     for eid in cert.edge_set:
+        if not (0 <= eid < m):
+            raise ValueError(f"certificate references edge {eid}, graph has {m}")
         x, y = g.edges[eid]
         xdeg[x] += 1
         ydeg[y] += 1
-    return all(d == 3 for d in ydeg) and all(d in (0, 3) for d in xdeg)
+    return ydeg.count(3) == len(ydeg) and xdeg.count(0) + xdeg.count(3) == len(xdeg)
 
 
 # --- finishes ------------------------------------------------------------
@@ -235,7 +235,8 @@ def check_full_3regular(g: BipartiteMultigraph, cert: SubgraphCertificate) -> bo
 def node_path(x_count: int, nodes: Sequence[int], eids: Sequence[int]) -> Path:
     """The path through node ids `nodes` (X-vertex i is i, Y-vertex j is
     x_count + j) along edge ids `eids`."""
-    return Path(tuple(node_vertex(x_count, u) for u in nodes), tuple(eids))
+    new = tuple.__new__  # one call per Vertex, as in `node_vertex`
+    return Path(tuple([new(Vertex, ("X", u) if u < x_count else ("Y", u - x_count)) for u in nodes]), tuple(eids))
 
 
 def finish_factor(g: BipartiteMultigraph, factor: PathFactor, route: str) -> PathFactor:

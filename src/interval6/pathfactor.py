@@ -522,12 +522,14 @@ def _pair_search(
 
     In any proper path factor every Y-vertex is interior, hence keeps
     exactly 2 of its 4 edges. The search assigns those pairs Y by Y,
-    in `combinations` order on an explicit stack (no recursion). Each
-    X-vertex at a path end holds the path's other end and its length
-    (an uncovered one is its own end, at length 0), so a pair that
-    would make an X-vertex's third edge, close a cycle or merge a path
-    longer than the longest allowed is skipped at once, and undoing a
-    pair restores four entries.
+    in `combinations` order on an explicit stack (no recursion), each
+    pair as (e1, e2, x1, x2) with its X-ends (none sharing one). The
+    assignment lives in `tried`: Y-vertex j holds pair `tried[j] - 1`.
+    Each X-vertex at a path end holds the path's other end and its length
+    (an uncovered one is its own end, at length 0), so a pair that would
+    make an X-vertex's third edge, close a cycle or merge a path longer
+    than the longest allowed is skipped at once, and undoing a pair
+    restores four entries.
 
     An X-vertex is final once its highest-index Y-neighbour holds a
     pair: its path can no longer grow there. A pair that leaves a final
@@ -565,14 +567,14 @@ def _pair_search(
         y_eids[y].append(eid)
         if y > last[x]:
             last[x] = y
-    pairs = [list(combinations(a, 2)) for a in y_eids]
+    # per Y-vertex: its edge pairs (e1, e2, x1, x2) with two distinct X-ends
+    pairs = [[(e1, e2, ex[e1], ex[e2]) for e1, e2 in combinations(a, 2) if ex[e1] != ex[e2]] for a in y_eids]
     final_at: list[list[int]] = [[] for _ in range(ny)]
     for x, j in enumerate(last):
         final_at[j].append(x)
     xdeg = [0] * n
     end = list(range(n))  # at a path end: the other end
     plen = [0] * n  # at a path end: the path's length
-    chosen: list[int] = []
     tried = [0] * ny  # per depth j: one past the pair placed at Y-vertex j, 0 while none is
     nodes = 0
     j = 0
@@ -581,18 +583,23 @@ def _pair_search(
         if nodes > cap:
             return "unknown", None, nodes
         if j == ny:
+            chosen = [e for pj, t in zip(pairs, tried) for e in pj[t - 1][:2]]
             return "found", _walks(g, chosen, end), nodes
+        pj = pairs[j]
         t = tried[j]
-        if t:  # undo the previous try
-            for x in (ex[chosen.pop()], ex[chosen.pop()]):  # x is a path end again
-                xdeg[x] -= 1
-                a = end[x] if xdeg[x] else x  # its old partner, itself if uncovered
-                end[a], plen[a] = x, plen[x] if xdeg[x] else 0
-        while t < len(pairs[j]):
-            e1, e2 = pairs[j][t]
+        if t:  # undo the previous try: x2 and then x1 is a path end again
+            _, _, x1, x2 = pj[t - 1]
+            d = xdeg[x2] = xdeg[x2] - 1
+            a = end[x2] if d else x2  # its old partner, itself if uncovered
+            end[a], plen[a] = x2, plen[x2] if d else 0
+            d = xdeg[x1] = xdeg[x1] - 1
+            a = end[x1] if d else x1
+            end[a], plen[a] = x1, plen[x1] if d else 0
+        count = len(pj)
+        while t < count:
+            _, _, x1, x2 = pj[t]
             t += 1
-            x1, x2 = ex[e1], ex[e2]
-            if xdeg[x1] >= 2 or xdeg[x2] >= 2 or x1 == x2 or end[x1] == x2:
+            if xdeg[x1] >= 2 or xdeg[x2] >= 2 or end[x1] == x2:
                 continue
             a, b, merged = end[x1], end[x2], plen[x1] + plen[x2] + 2
             if merged > longest:
@@ -600,15 +607,19 @@ def _pair_search(
             xdeg[x1] += 1
             xdeg[x2] += 1
             end[a], end[b], plen[a], plen[b] = b, a, merged, merged
-            chosen += (e1, e2)
             break
         else:
-            t = 0
+            tried[j] = 0
+            j -= 1
+            continue
         tried[j] = t
-        if t and any(last[x] <= j and (xdeg[x] == 0 or xdeg[x] == 1 and last[end[x]] <= j
-                                       and plen[x] not in allowed) for x in (a, *final_at[j])):
-            continue  # a final X-vertex is uncovered, or a closed path has a disallowed length
-        j += 1 if t else -1
+        if last[a] <= j and last[b] <= j and merged not in allowed:
+            continue  # the merged path closed at a disallowed length
+        for x in final_at[j]:
+            if not xdeg[x] or xdeg[x] == 1 and last[end[x]] <= j and plen[x] not in allowed:
+                break  # a final X-vertex is uncovered, or closes a path of disallowed length
+        else:
+            j += 1
     return "none", None, nodes
 
 

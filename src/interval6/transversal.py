@@ -346,7 +346,10 @@ def _spread_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict[int,
         tried[at] += 1
         for w in drops[y]:
             live[w] -= 1
-        if all(live[w] for w in drops[y]):
+        for w in drops[y]:
+            if not live[w]:
+                break  # a window no completion can reach
+        else:
             at += 1
     return None
 
@@ -442,8 +445,9 @@ def proper_3_edge_color(g: BipartiteMultigraph, edge_set: frozenset[int]) -> dic
     n = g.x_count
     deg = [0] * (n + g.y_count)  # subgraph degree per node id
     rem: dict[int, list[tuple[int, int]]] = {}
+    m = g.edge_count
     for eid in sorted(edge_set):
-        if not (0 <= eid < g.edge_count):
+        if not (0 <= eid < m):
             raise ValueError(f"no edge {eid}")
         x, y = g.edges[eid]
         deg[x] += 1

@@ -4,6 +4,7 @@ import pytest
 
 from interval6 import bigraph
 from interval6.bigraph import (
+    Vertex,
     build,
     components,
     delete_y,
@@ -11,10 +12,12 @@ from interval6.bigraph import (
     is_biregular,
     is_simple,
     is_two_edge_connected,
+    node_vertex,
     parse_vertex,
     xv,
     yv,
 )
+from interval6.checker import node_path
 from interval6.generators import claw_triple_graph, random_34_biregular
 
 
@@ -86,6 +89,20 @@ def test_vertex_labels_round_trip():
     assert parse_vertex(xv(7).label) == xv(7)
     with pytest.raises(ValueError):
         parse_vertex("z1")
+
+
+def test_vertex_constructors_return_real_vertices():
+    # xv, yv, node_vertex and node_path skip Vertex.__new__; what they
+    # build must still be a Vertex, not a plain tuple
+    built = [(xv(3), ("X", 3)), (yv(5), ("Y", 5)), (node_vertex(4, 2), ("X", 2)), (node_vertex(4, 6), ("Y", 2))]
+    path = node_path(4, [0, 4, 1, 5, 3], [0, 1, 2, 3])
+    built += zip(path.vertices, [("X", 0), ("Y", 0), ("X", 1), ("Y", 1), ("X", 3)])
+    for v, (side, i) in built:
+        ref = Vertex(side, i)
+        assert type(v) is Vertex
+        assert (v.side, v.index, v.label) == (side, i, ref.label)
+        assert v == ref and hash(v) == hash(ref)
+    assert path.edges == (0, 1, 2, 3)
 
 
 def test_vertex_labels_reject_near_misses():

@@ -13,7 +13,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from helpers import disjoint_k43, recursion_limit
 
-from interval6.bigraph import biregular34_k
+from interval6.bigraph import biregular34_k, build
 from interval6.checker import FACTOR_LENGTHS, check_proper_path_factor, factor_to_dict
 from interval6.generators import claw_triple_graph, eight_triples_graph, random_34_biregular, subset_graph_6
 from interval6.oracle import oracle_path_factor
@@ -80,6 +80,34 @@ def test_search_outcomes_pinned():
             factor = None if res.factor is None else factor_to_dict(res.factor)
             digest.update(json.dumps([res.status, res.nodes, factor], sort_keys=True).encode())
     assert digest.hexdigest() == "af354d8ca6ac52c6293c5a1d34eb791cbc128a24d27f58744892aa5be32677db"
+
+
+def with_k43(g):
+    """`g` with a disjoint K_{4,3} after it, whose only factor is one
+    length-6 path: without 6 the search refutes it only after trying
+    every assignment of `g`'s Y-vertices."""
+    n, ny = g.x_count, g.y_count
+    return build(n + 4, ny + 3, [*g.edges, *((n + i, ny + j) for i in range(4) for j in range(3))])
+
+
+def test_capped_and_refuted_outcomes_pinned():
+    # sha256 of (status, nodes, factor) under a cap: deep "unknown" and
+    # "found" runs at k = 8 and 12, and "none" runs after a search on
+    # restricted length sets at k <= 5; taken before the search's loop
+    # body was rewritten (pair tuples holding their X-ends)
+    runs = [(random_34_biregular(k, seed=s), FACTOR_LENGTHS) for k in (8, 12) for s in range(6)]
+    runs += [(with_k43(random_34_biregular(k, seed=s)), lengths)
+             for k in (2, 3, 4) for s in range(3) for lengths in ALL_LENGTH_SETS]
+    runs += [(claw_triple_graph(), lengths) for lengths in ALL_LENGTH_SETS]
+    digest = hashlib.sha256()
+    statuses = set()
+    for g, lengths in runs:
+        res = search_proper_path_factor(g, max_nodes=20_000, lengths=lengths)
+        statuses.add((res.status, res.nodes > 1_000))
+        factor = None if res.factor is None else factor_to_dict(res.factor)
+        digest.update(json.dumps([res.status, res.nodes, factor], sort_keys=True).encode())
+    assert {("unknown", True), ("none", True), ("found", True)} <= statuses
+    assert digest.hexdigest() == "7f02df25d3572e5af30db1c5e7bcae87f6c4d62b5956ca89939685648573fb2c"
 
 
 @pytest.mark.parametrize("cap", range(13))
