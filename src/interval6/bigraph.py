@@ -30,14 +30,53 @@ class Vertex(NamedTuple):
         return f"{self.side.lower()}{self.index}"
 
 
-# xv, yv and node_vertex build each Vertex with one `tuple.__new__` call,
-# skipping the Python-level `Vertex.__new__` that NamedTuple generates;
-# the result equals, and hashes as, `Vertex(side, index)`.
+# One shared Vertex per vertex: _XS[i] is Vertex("X", i), _YS[j] is
+# Vertex("Y", j), and _LABELS maps each one's label ("x12") to it. Only
+# vertex_tables grows them, to a graph's own vertex counts or to the
+# number of labels in an input being parsed, never to an index read from
+# input. It builds a new list and rebinds it, so a table a caller holds
+# keeps its meaning while another call grows the next one; _LABELS is only
+# ever updated in place. Nothing relies on identity: a shared Vertex
+# equals, and hashes as, a fresh one.
+_XS: list[Vertex] = []
+_YS: list[Vertex] = []
+_LABELS: dict[str, Vertex] = {}
+
+
+def _table_grown(table: list[Vertex], side: str, count: int) -> list[Vertex]:
+    """`table` extended to at least `count` entries (doubling), with the new labels registered."""
+    lo, hi = len(table), max(count, 2 * len(table))
+    new = tuple.__new__  # skips the Python-level Vertex.__new__ NamedTuple generates
+    grown = [new(Vertex, (side, i)) for i in range(lo, hi)]
+    prefix = side.lower()
+    _LABELS.update(zip([f"{prefix}{i}" for i in range(lo, hi)], grown))
+    return table + grown
+
+
+def vertex_tables(x_count: int, y_count: int) -> tuple[list[Vertex], list[Vertex]]:
+    """The shared X and Y tables, holding at least `x_count` and `y_count` vertices."""
+    global _XS, _YS
+    xs, ys = _XS, _YS
+    if len(xs) < x_count:
+        xs = _XS = _table_grown(xs, "X", x_count)
+    if len(ys) < y_count:
+        ys = _YS = _table_grown(ys, "Y", y_count)
+    return xs, ys
+
+
+# xv, yv and node_vertex look a vertex up in the shared tables and build
+# it only when its index lies outside them, so xv(-1) is Vertex("X", -1).
 def xv(i: int) -> Vertex:
+    xs = _XS
+    if type(i) is int and 0 <= i < len(xs):
+        return xs[i]
     return tuple.__new__(Vertex, ("X", i))
 
 
 def yv(j: int) -> Vertex:
+    ys = _YS
+    if type(j) is int and 0 <= j < len(ys):
+        return ys[j]
     return tuple.__new__(Vertex, ("Y", j))
 
 
@@ -48,7 +87,7 @@ _LABEL_RE = re.compile(r"([xy])(0|[1-9][0-9]*)")
 
 def node_vertex(x_count: int, node: int) -> Vertex:
     """The vertex with node id `node` (see BipartiteMultigraph.node_adj)."""
-    return tuple.__new__(Vertex, ("X", node) if node < x_count else ("Y", node - x_count))
+    return xv(node) if node < x_count else yv(node - x_count)
 
 
 def parse_vertex(label: str) -> Vertex:
@@ -94,19 +133,26 @@ class BipartiteMultigraph:
         n = self.x_count
         return tuple(tuple((eid, n + j) for eid, j in a) for a in self.x_adj) + self.y_adj
 
+    @cached_property
+    def biregular34(self) -> bool:
+        """Whether the graph is (3,4)-biregular; the degrees are counted once per graph."""
+        return is_biregular(self, 3, 4)
+
     def degree(self, v: Vertex) -> int:
         if v.side == "X":
             return len(self.x_adj[v.index])
         return len(self.y_adj[v.index])
 
     def vertices(self) -> list[Vertex]:
-        return [xv(i) for i in range(self.x_count)] + [yv(j) for j in range(self.y_count)]
+        xs, ys = vertex_tables(self.x_count, self.y_count)
+        return xs[: self.x_count] + ys[: self.y_count]
 
     def incident(self, v: Vertex) -> tuple[tuple[int, Vertex], ...]:
         """Edges at v as (edge id, other endpoint), in edge-id order."""
+        xs, ys = vertex_tables(self.x_count, self.y_count)
         if v.side == "X":
-            return tuple((eid, yv(j)) for eid, j in self.x_adj[v.index])
-        return tuple((eid, xv(i)) for eid, i in self.y_adj[v.index])
+            return tuple([(eid, ys[j]) for eid, j in self.x_adj[v.index]])
+        return tuple([(eid, xs[i]) for eid, i in self.y_adj[v.index]])
 
     def endpoints(self, eid: int) -> tuple[Vertex, Vertex]:
         x, y = self.edges[eid]
@@ -144,7 +190,7 @@ def is_biregular(g: BipartiteMultigraph, a: int, b: int) -> bool:
 
 def biregular34_k(g: BipartiteMultigraph) -> int:
     """The scale k of a (3,4)-biregular graph (|X| = 4k, |Y| = 3k); raises otherwise."""
-    if not is_biregular(g, 3, 4):
+    if not g.biregular34:
         raise ValueError("graph is not (3,4)-biregular")
     k, rem = divmod(g.x_count, 4)
     if rem or g.y_count != 3 * k:

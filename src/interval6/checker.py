@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bigraph import BipartiteMultigraph, Vertex, _strict_int, is_biregular, node_vertex, parse_vertex
+from .bigraph import _LABELS, BipartiteMultigraph, Vertex, _strict_int, node_vertex, parse_vertex, vertex_tables
 from .errors import InvariantError
 
 FACTOR_LENGTHS = (2, 4, 6, 8)
@@ -93,7 +93,8 @@ def _validate_coloring(g: BipartiteMultigraph, coloring: EdgeColoring) -> None:
 
 def vertex_colors(g: BipartiteMultigraph, coloring: EdgeColoring, v: Vertex) -> list[int]:
     """Colors incident to v, sorted, multiplicities kept."""
-    return sorted(coloring.colors[eid] for eid, _ in g.incident(v))
+    adj = g.x_adj if v.side == "X" else g.y_adj
+    return sorted([coloring.colors[eid] for eid, _ in adj[v.index]])
 
 
 def _coloring_scan(
@@ -213,7 +214,7 @@ def check_full_3regular(g: BipartiteMultigraph, cert: SubgraphCertificate) -> bo
 
     Only defined over (3,4)-biregular graphs; anything else raises.
     """
-    if not is_biregular(g, 3, 4):
+    if not g.biregular34:
         raise ValueError("full 3-regular subgraphs are defined over (3,4)-biregular graphs")
     m = g.edge_count
     xdeg = [0] * g.x_count
@@ -234,9 +235,11 @@ def check_full_3regular(g: BipartiteMultigraph, cert: SubgraphCertificate) -> bo
 
 def node_path(x_count: int, nodes: Sequence[int], eids: Sequence[int]) -> Path:
     """The path through node ids `nodes` (X-vertex i is i, Y-vertex j is
-    x_count + j) along edge ids `eids`."""
-    new = tuple.__new__  # one call per Vertex, as in `node_vertex`
-    return Path(tuple([new(Vertex, ("X", u) if u < x_count else ("Y", u - x_count)) for u in nodes]), tuple(eids))
+    x_count + j) along edge ids `eids`, over the shared vertex tables.
+    Callers pass the node ids of one graph's walks, so the largest is
+    below that graph's vertex count, and the tables grow at most to it."""
+    xs, ys = vertex_tables(x_count, max(nodes, default=-1) + 1 - x_count)
+    return Path(tuple([xs[u] if u < x_count else ys[u - x_count] for u in nodes]), tuple(eids))
 
 
 def finish_factor(g: BipartiteMultigraph, factor: PathFactor, route: str) -> PathFactor:
@@ -291,17 +294,28 @@ _SIDES = {"x": "X", "y": "Y"}
 
 
 def factor_from_dict(d: dict) -> PathFactor:
-    """The factor a factor_to_dict() object describes. Plain labels and int
-    edge ids are read directly; anything else goes through parse_vertex or
-    _strict_int, which reject it with their own messages."""
+    """The factor a factor_to_dict() object describes. A label is looked up
+    in the shared vertex tables, sized first to the object's label count;
+    other plain labels and int edge ids are read directly, and anything
+    else goes through parse_vertex or _strict_int, which reject it with
+    their own messages."""
     paths = []
+    labels = _LABELS
     try:
-        for seq in d["paths"]:
+        seqs = d["paths"]
+        if type(seqs) is list:  # a proper factor names each vertex once, so both sides fit
+            count = sum([(len(seq) + 1) // 2 for seq in seqs if type(seq) is list])
+            vertex_tables(count, count)
+        for seq in seqs:
             if len(seq) % 2 == 0 or len(seq) < 3:
                 raise ValueError(f"path array of length {len(seq)} cannot alternate vertex/edge")
             verts = []
             for item in seq[::2]:
-                if type(item) is str:
+                if type(item) is str:  # anything else could be unhashable
+                    v = labels.get(item)
+                    if v is not None:
+                        verts.append(v)
+                        continue
                     side = _SIDES.get(item[:1])
                     digits = item[1:]
                     if side and digits.isascii() and digits.isdigit() and (digits[0] != "0" or len(digits) == 1):

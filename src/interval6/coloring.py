@@ -11,14 +11,14 @@ factor endpoints {2,3,4} or {3,4,5}, and Y-vertices one of {1,2,3,4},
 {2,3,4,5}, {3,4,5,6}.
 
 The construction runs on the node-id kernels of `pathfactor`: the
-leftover split (`_leftover`, which also checks the graph and the factor),
-the link graph over X ids (`_link_graph`) and its breadth-first
-2-coloring into a side array (`_two_color`). Colors are written straight
-into one list, and no `Vertex` or `Path` object is built. It
-double-checks its own output (every edge colored, factor edges in
-{1, 2, 5, 6} and leftover edges in {3, 4}, then the interval property
-through `checker.finish_coloring`) and raises InvariantError rather than
-return a bad coloring.
+leftover split (`_leftover`, which also checks the graph and the factor,
+and walks each cycle and path on two edge slots per node), the link graph
+over X ids (`_link_graph`) and its breadth-first 2-coloring into a side
+array (`_two_color`). Colors are written straight into one list, and no
+`Vertex` or `Path` object is built. It double-checks its own output
+(every edge colored, factor edges in {1, 2, 5, 6} and leftover edges in
+{3, 4}, then the interval property through `checker.finish_coloring`)
+and raises InvariantError rather than return a bad coloring.
 """
 
 from __future__ import annotations

@@ -4,14 +4,16 @@ Two halves live here. The first half dissects a factor of a
 (3,4)-biregular graph: the leftover subgraph (everything off the factor),
 the link graph over the factor's interior X-vertices, and the proper
 2-coloring of that link graph. Those three objects are exactly what the
-coloring construction consumes, and each comes from one node-id kernel:
-`_leftover` walks the off-factor edges (an on-factor flag array,
-`bigraph._node_components` and `bigraph._trail`) into cycles and paths
-of node and edge ids, `_link_graph` builds the link graph over X ids and
-checks its degrees as array counts, and `_two_color` colors it breadth
-first into a side array. `coloring.color_from_factor` calls the kernels
-directly; `build_q`, `build_pgraph` and `two_color_pgraph` wrap them and
-build `Vertex`, `Path` and `PEdge` objects only for what they return.
+coloring construction consumes, and each comes from one node-id kernel.
+`_leftover` walks the off-factor edges into cycles and paths of node and
+edge ids, on two edge slots per node and a node-id sum per edge; a
+leftover with a node of degree 0 or above 2, which only a factor that
+skipped its check can leave, goes through components and `bigraph._trail`
+instead. `_link_graph` builds the link graph over X ids and checks its
+degrees as array counts, and `_two_color` colors it breadth first into a
+side array. `coloring.color_from_factor` calls the kernels directly;
+`build_q`, `build_pgraph` and `two_color_pgraph` wrap them and build
+`Vertex`, `Path` and `PEdge` objects only for what they return.
 
 The second half finds factors. `p7_factor_via_24` is the constructive
 route: peel off a set of Y-vertices whose neighborhoods exactly cover X,
@@ -25,8 +27,8 @@ Both half factors come from one linear kernel, `_half_pairs`: Hierholzer's
 walk (`bigraph._circuit`) over every component of a (2,4)-biregular edge
 list on node ids, with one shared used/pointer array, returning each
 Y-centre's two edges. `p7_factor_via_24` peels the cover in one pass over
-`g.edges` and builds `Vertex`/`Path` objects only for the factor it
-returns; `p3_half_factor` wraps the same kernel.
+`g.edges` and builds `Path` objects, over the shared `Vertex` tables, only
+for the factor it returns; `p3_half_factor` wraps the same kernel.
 
 `search_proper_path_factor` and `search_full_3regular` are bounded
 exhaustive searches used when no structure is known. Neither recurses:
@@ -55,6 +57,7 @@ from .bigraph import (
     _trail,
     biregular34_k,
     node_vertex,
+    vertex_tables,
     xv,
     yv,
 )
@@ -149,12 +152,88 @@ def _leftover(
     biregular34_k(g)
     _factor_or_raise(g, factor)
     n, edges = g.x_count, g.edges
+    size = n + g.y_count
     on_factor = bytearray(len(edges))
     for p in factor.paths:
         for eid in p.edges:
             on_factor[eid] = 1
+    # Every node keeps 1 or 2 leftover edges: the lower id in lo, the other
+    # in hi (-1 at degree 1). An edge's far end is its node-id sum minus
+    # the near end.
+    lo = [-1] * size
+    hi = [-1] * size
+    ends = [0] * len(edges)
+    off = list(compress(range(len(edges)), on_factor.translate(_FLIP)))
+    for eid in off:
+        x, y = edges[eid]
+        y += n
+        ends[eid] = x + y
+        if lo[x] < 0:
+            lo[x] = eid
+        else:
+            hi[x] = eid
+        if lo[y] < 0:
+            lo[y] = eid
+        else:
+            hi[y] = eid
+    # a node of degree 0, or one above 2 (its slots hold fewer edges than
+    # it has), only gets here with the factor check switched off
+    if -1 in lo or 2 * size - hi.count(-1) != 2 * len(off):
+        return (on_factor, *_leftover_components(n, size, edges, on_factor))
+
+    def walk(u: int, eid: int) -> tuple[list[int], list[int]]:
+        """From u along eid to the next degree-1 node, or back to u."""
+        nodes, eids = [u], []
+        cur = u
+        while True:
+            eids.append(eid)
+            cur = ends[eid] - cur
+            if cur == u:
+                return nodes, eids
+            nodes.append(cur)
+            nxt = lo[cur]
+            if nxt == eid:
+                nxt = hi[cur]
+                if nxt < 0:
+                    return nodes, eids
+            eid = nxt
+
+    seen = bytearray(size)
+    cycles: list[list[int]] = []
+    paths: list[tuple[list[int], list[int]]] = []
+    u = 0
+    while u >= 0:  # u is the smallest node of the next component
+        nodes, eids = walk(u, lo[u])
+        last = nodes[-1]
+        if hi[u] >= 0 and hi[last] >= 0:  # stopped at a node of degree 2, so back at u: a cycle
+            cycles.append(eids)
+        else:
+            if hi[u] >= 0:  # u is inside a path: its other half ends at the other end
+                back, back_eids = walk(u, hi[u])
+                if back[-1] < last:
+                    nodes, eids, back, back_eids = back, back_eids, nodes, eids
+                nodes.reverse()
+                nodes += back[1:]
+                eids.reverse()
+                eids += back_eids
+            if nodes[-1] >= n:
+                ones = [node_vertex(n, nodes[0]), node_vertex(n, nodes[-1])]
+                raise InvariantError(f"leftover path must join two X-vertices, got {ones}")
+            paths.append((nodes, eids))
+        for v in nodes:
+            seen[v] = 1
+        u = seen.find(0, u + 1)
+    return on_factor, cycles, paths
+
+
+def _leftover_components(
+    n: int, size: int, edges: Sequence[tuple[int, int]], on_factor: bytearray
+) -> tuple[list[list[int]], list[tuple[list[int], list[int]]]]:
+    """`_leftover`'s split for a leftover with a node of degree 0 or above
+    2, through its components in order, raising on the first that is not a
+    cycle or an X-to-X path."""
     # leftover edges at every node id, as (edge id, other end) in edge-id order
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + g.y_count)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for eid in compress(range(len(edges)), on_factor.translate(_FLIP)):
         x, y = edges[eid]
         y += n
@@ -183,7 +262,7 @@ def _leftover(
             if nodes[-1] != ones[1]:
                 raise InvariantError("leftover path walk did not reach the other endpoint")
             paths.append((nodes, eids))
-    return on_factor, cycles, paths
+    return cycles, paths
 
 
 def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
@@ -493,13 +572,14 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
 
     # per X-vertex x: the index of the half-factor path T that x ends, and
     # T in g's vertices and edge ids, oriented to end at x
+    xs, ys = vertex_tables(n, g.y_count)
     t_of_x = [0] * n
     arm: list[tuple[tuple[Vertex, ...], tuple[int, ...]]] = [((), ())] * n
     for ti, (ea, eb) in enumerate(_half_pairs(n, rest, peeled, 0)):
         ea, eb = peeled_ids[ea], peeled_ids[eb]
         (a, y), b = edges[ea], edges[eb][0]
         t_of_x[a] = t_of_x[b] = ti
-        va, vy, vb = xv(a), yv(y), xv(b)
+        va, vy, vb = xs[a], ys[y], xs[b]
         arm[a] = ((vb, vy, va), (eb, ea))
         arm[b] = ((va, vy, vb), (ea, eb))
 
@@ -508,7 +588,7 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     paths = []
     for cj, (x_i, x_j) in enumerate(_half_pairs(rest, len(cover), contracted, 0)):
         (vi, ei), (vj, ej) = arm[x_i], arm[x_j]
-        paths.append(Path(vi + (yv(cover[cj]),) + vj[::-1], ei + (contact[x_i], contact[x_j]) + ej[::-1]))
+        paths.append(Path(vi + (ys[cover[cj]],) + vj[::-1], ei + (contact[x_i], contact[x_j]) + ej[::-1]))
     return finish_factor(g, PathFactor(tuple(paths)), "via24 construction")
 
 

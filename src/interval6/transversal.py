@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .bigraph import BipartiteMultigraph, _node_components, _trail, node_vertex, xv, yv
+from .bigraph import BipartiteMultigraph, Vertex, _node_components, _trail, node_vertex, vertex_tables
 from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, finish_factor
 from .errors import InvariantError
 from .pathfactor import _exact_cover
@@ -557,13 +557,14 @@ def factor_from_mixed_transversal(
         if eid not in cert.edge_set:
             outside[y] = (x, eid)
 
+    xs, ys = vertex_tables(g.x_count, g.y_count)
     paths: list[Path] = []
     for part in mixed.parts:
         chosen = {i: mixed.members[i] for i in part.indices}
         if part.case == "independent":
-            paths.extend(_case_independent(f, ts, chosen, outside))
+            paths.extend(_case_independent(f, ts, chosen, outside, xs, ys))
         else:
-            paths.extend(_case_spread(f, chosen, outside))
+            paths.extend(_case_spread(f, chosen, outside, xs, ys))
 
     return finish_factor(g, PathFactor(tuple(paths)), "transversal construction")
 
@@ -597,7 +598,8 @@ def _validate_mixed(f: FGraph, ts: TripleSystem, mixed: MixedTransversal) -> Non
 
 
 def _case_independent(
-    f: FGraph, ts: TripleSystem, chosen: dict[int, int], outside: list[tuple[int, int]]
+    f: FGraph, ts: TripleSystem, chosen: dict[int, int], outside: list[tuple[int, int]],
+    xs: list[Vertex], ys: list[Vertex],
 ) -> list[Path]:
     bases: dict[int, tuple[list, list]] = {}
     end_at: dict[int, tuple[int, int]] = {}  # base endpoint x -> (triple, 0 left / 1 right)
@@ -605,7 +607,7 @@ def _case_independent(
         y2, y3 = (y for y in ts.triples[i] if y != y1)
         m2, m3 = f.out_edge(y2), f.out_edge(y3)
         x0, e02 = outside[y2]
-        verts = [xv(m2.mid_x), yv(y2), xv(x0), yv(y3), xv(m3.mid_x)]
+        verts = [xs[m2.mid_x], ys[y2], xs[x0], ys[y3], xs[m3.mid_x]]
         eids = [m2.edge1, e02, outside[y3][1], m3.edge1]
         bases[i] = (verts, eids)
         end_at[m2.mid_x] = (i, 0)
@@ -619,33 +621,35 @@ def _case_independent(
         j, side = end_at[h.mid_x]
         verts, eids = bases[j]
         if side == 0:
-            verts[:0] = [xv(m.mid_x), yv(y1)]
+            verts[:0] = [xs[m.mid_x], ys[y1]]
             eids[:0] = [m.edge1, h.edge2]
         else:
-            verts.extend([yv(y1), xv(m.mid_x)])
+            verts.extend([ys[y1], xs[m.mid_x]])
             eids.extend([h.edge2, m.edge1])
     return [Path(tuple(v), tuple(e)) for v, e in bases.values()]
 
 
-def _case_spread(f: FGraph, chosen: dict[int, int], outside: list[tuple[int, int]]) -> list[Path]:
+def _case_spread(
+    f: FGraph, chosen: dict[int, int], outside: list[tuple[int, int]], xs: list[Vertex], ys: list[Vertex]
+) -> list[Path]:
     deleted = {f.in_index[m] for m in chosen.values()}
     paths = []
     for m in chosen.values():
         x0, eid = outside[m]
-        verts = [xv(x0), yv(m)]
+        verts = [xs[x0], ys[m]]
         eids = [eid]
         cur = m
         steps = 0
         while f.out_index[cur] not in deleted:
             e = f.out_edge(cur)
-            verts.extend([xv(e.mid_x), yv(e.v)])
+            verts.extend([xs[e.mid_x], ys[e.v]])
             eids.extend([e.edge1, e.edge2])
             cur = e.v
             steps += 1
             if steps > 3:
                 raise InvariantError("spread walk exceeded 3 F-edges")
         e = f.out_edge(cur)  # deleted ahead; its middle is still uncovered
-        verts.append(xv(e.mid_x))
+        verts.append(xs[e.mid_x])
         eids.append(e.edge1)
         paths.append(Path(tuple(verts), tuple(eids)))
     return paths

@@ -4,6 +4,7 @@ import random
 import sys
 from contextlib import contextmanager
 
+from interval6 import bigraph
 from interval6.bigraph import BipartiteMultigraph, build
 
 
@@ -71,3 +72,18 @@ def recursion_limit(n: int):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+@contextmanager
+def cold_vertex_tables():
+    """Run the block with the shared vertex tables and label dict empty;
+    the old ones come back on exit."""
+    xs, ys, labels = bigraph._XS, bigraph._YS, dict(bigraph._LABELS)
+    bigraph._XS, bigraph._YS = [], []
+    bigraph._LABELS.clear()
+    try:
+        yield
+    finally:
+        bigraph._XS, bigraph._YS = xs, ys
+        bigraph._LABELS.clear()
+        bigraph._LABELS.update(labels)

@@ -1,6 +1,9 @@
 import random
+import sys
+import threading
 
 import pytest
+from helpers import cold_vertex_tables
 
 from interval6 import bigraph
 from interval6.bigraph import (
@@ -14,6 +17,7 @@ from interval6.bigraph import (
     is_two_edge_connected,
     node_vertex,
     parse_vertex,
+    vertex_tables,
     xv,
     yv,
 )
@@ -103,6 +107,66 @@ def test_vertex_constructors_return_real_vertices():
         assert (v.side, v.index, v.label) == (side, i, ref.label)
         assert v == ref and hash(v) == hash(ref)
     assert path.edges == (0, 1, 2, 3)
+
+
+def test_shared_vertices_equal_fresh_ones():
+    vertex_tables(8, 8)
+    for i in range(8):
+        assert xv(i) is xv(i) and yv(i) is yv(i)
+        for v, ref in ((xv(i), Vertex("X", i)), (yv(i), Vertex("Y", i))):
+            assert type(v) is Vertex and v == ref and hash(v) == hash(ref)
+            assert bigraph._LABELS[ref.label] is v
+    # outside the tables (or not an int) a vertex is built as asked
+    for i in (-1, -8, 10**12, True):
+        assert xv(i) == Vertex("X", i) and yv(i) == Vertex("Y", i)
+        assert type(xv(i)) is Vertex and xv(i).index is i
+    assert xv(-1) == Vertex("X", -1)
+
+
+def test_vertex_tables_grow_to_graph_counts_by_doubling():
+    with cold_vertex_tables():
+        assert xv(2) == Vertex("X", 2) and bigraph._XS == []  # a lookup never grows them
+        g = k34()
+        assert g.vertices() == [Vertex("X", i) for i in range(4)] + [Vertex("Y", j) for j in range(3)]
+        assert (len(bigraph._XS), len(bigraph._YS)) == (4, 3)
+        held = bigraph._XS
+        xs, _ = vertex_tables(5, 0)
+        assert len(xs) == 8 and held == [Vertex("X", i) for i in range(4)]  # grown into a new list
+        assert xs == [Vertex("X", i) for i in range(8)] and xs is bigraph._XS
+        assert sorted(bigraph._LABELS) == sorted([f"x{i}" for i in range(8)] + ["y0", "y1", "y2"])
+        assert g.incident(yv(1)) == tuple((eid, xv(x)) for eid, (x, y) in enumerate(g.edges) if y == 1)
+
+
+def test_concurrent_growth_keeps_every_index_aligned():
+    # threads growing the tables at once: every table any of them gets
+    # back holds Vertex(side, i) at index i, and so does the label dict
+    bad: list[tuple] = []
+
+    def grow(seed: int) -> None:
+        rng = random.Random(seed)
+        for _ in range(150):
+            nx, ny = rng.randrange(1, 20_000), rng.randrange(1, 20_000)
+            xs, ys = vertex_tables(nx, ny)
+            i, j = rng.randrange(nx), rng.randrange(ny)
+            if len(xs) < nx or len(ys) < ny or xs[i] != ("X", i) or ys[j] != ("Y", j):
+                bad.append((nx, ny, i, j))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cold_vertex_tables():
+            threads = [threading.Thread(target=grow, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not bad
+            for side, table in (("X", bigraph._XS), ("Y", bigraph._YS)):
+                assert table == [Vertex(side, i) for i in range(len(table))]
+            assert all(parse_vertex(label) == v for label, v in bigraph._LABELS.items())
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_vertex_labels_reject_near_misses():

@@ -227,12 +227,44 @@ def test_factor_routes_are_all_represented(factored):
     assert len(factored) >= 30
 
 
-def test_valid_factors_match_reference(factored):
-    for g, factor in factored:
+@pytest.fixture(scope="module")
+def larger():
+    """Seeded factors of larger graphs: via24 up to k=40, transversal up to k=10."""
+    rng = random.Random(4040)
+    out = []
+    for k in (16, 21, 27, 33, 40):
+        g = random_cover_admitting(k, rng)
+        out.append((g, p7_factor_via_24(g)))
+    for k in (6, 7, 8, 9, 10, 10):
+        g = random_core_admitting(k, rng)
+        factor = factor_from_mixed_transversal(g, search_full_3regular(g))
+        if factor is not None:
+            out.append((g, factor))
+    return out
+
+
+def counting(monkeypatch, module, name: str) -> list[int]:
+    """Wrap module.name to count its calls; the count is the list's length."""
+    calls: list[int] = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_valid_factors_match_reference(factored, larger, monkeypatch):
+    assert len(larger) >= 8
+    fallback = counting(monkeypatch, pathfactor, "_leftover_components")
+    for g, factor in factored + larger:
         assert same(path_factor_violation, reference_path_factor_violation, g, factor) == ("ok", None)
         assert same(build_q, reference_build_q, g, factor)[0] == "ok"
         col = color_from_factor(g, factor)
         assert same(_coloring_scan, reference_coloring_scan, g, col) == ("ok", (True, None))
+    assert not fallback  # a proper path factor leaves every node degree 1 or 2
 
 
 def replace_path(factor: PathFactor, pi: int, verts, eids) -> PathFactor:
@@ -300,15 +332,18 @@ def test_build_q_invariants_match_reference(factored, monkeypatch):
     """With the factor check switched off, arbitrary edge sets reach every InvariantError."""
     monkeypatch.setattr(pathfactor, "_factor_or_raise", lambda g, factor: None)
     monkeypatch.setitem(globals(), "reference_factor_or_raise", lambda g, factor: None)
+    fallback = counting(monkeypatch, pathfactor, "_leftover_components")
     rng = random.Random(5)
-    kinds = set()
+    kinds = {True: set(), False: set()}  # by whether the split took the fallback
     for g, _ in factored:
         for density in (0.0, 0.2, 0.4, 0.6, 0.9, 1.0):
             eids = tuple(e for e in range(g.edge_count) if rng.random() < density)
             fake = PathFactor((Path((), eids),))
+            before = len(fallback)
             kind, what = same(build_q, reference_build_q, g, fake)
-            kinds.add(what.split(" ")[1] if kind == "InvariantError" else kind)
-    assert {"ok", "graph", "component", "path"} <= kinds
+            kinds[len(fallback) > before].add(what.split(" ")[1] if kind == "InvariantError" else kind)
+    assert {"ok", "graph", "component", "path"} <= kinds[True]
+    assert "path" in kinds[False]  # a Y-end on a leftover of degrees 1 and 2
 
 
 def test_build_q_rejects_non_biregular_graphs_like_reference():

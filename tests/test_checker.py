@@ -1,6 +1,8 @@
 import pytest
+from helpers import cold_vertex_tables
 
-from interval6.bigraph import build, xv, yv
+from interval6 import bigraph
+from interval6.bigraph import Vertex, _strict_int, build, parse_vertex, vertex_tables, xv, yv
 from interval6.checker import (
     EdgeColoring,
     Path,
@@ -233,3 +235,79 @@ def test_cert_from_dict_rejects_non_integers():
     for bad in (1.5, "2", True):
         with pytest.raises(ValueError, match="must be an integer"):
             cert_from_dict({"edges": [0, bad]})
+
+
+_REFERENCE_SIDES = {"x": "X", "y": "Y"}
+
+
+def reference_factor_from_dict(d: dict) -> PathFactor:
+    """The parser as it read labels before the shared vertex tables."""
+    paths = []
+    try:
+        for seq in d["paths"]:
+            if len(seq) % 2 == 0 or len(seq) < 3:
+                raise ValueError(f"path array of length {len(seq)} cannot alternate vertex/edge")
+            verts = []
+            for item in seq[::2]:
+                if type(item) is str:
+                    side = _REFERENCE_SIDES.get(item[:1])
+                    digits = item[1:]
+                    if side and digits.isascii() and digits.isdigit() and (digits[0] != "0" or len(digits) == 1):
+                        verts.append(Vertex(side, int(digits)))
+                        continue
+                verts.append(parse_vertex(item))
+            eids = seq[1::2]
+            for i, item in enumerate(eids):
+                if type(item) is not int:
+                    _strict_int(item, f"edge id at position {2 * i + 1}")
+            paths.append(Path(tuple(verts), tuple(eids)))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed factor object: {exc}") from exc
+    return PathFactor(tuple(paths))
+
+
+LABEL_CORPUS = ("x0", "x01", "x-1", "X1", "x1\n", "x\u0661", "", "z3", 3, True, None, ["x1"], "x99999999999")
+
+
+def parsed(parse, d):
+    """The factor `parse` reads from `d` (with its repr, which shows index
+    types), or the type and message of what it raises."""
+    try:
+        factor = parse(d)
+    except Exception as exc:  # the comparison is the point: any exception must match
+        return type(exc).__name__, str(exc)
+    return factor, repr(factor)
+
+
+def factor_objects():
+    for label in LABEL_CORPUS:
+        yield {"paths": [[label, 0, "y0", 1, "x1"]]}
+        yield {"paths": [["x2", 4, "y1", 5, "x3"], ["x0", 0, label, 1, "x1"]]}
+        yield {"paths": [["x0", 0, "y0", 1, label], ["x2", "e", "y1", 5, "x3"]]}
+    yield from ({}, {"paths": 5}, {"paths": "xyz"}, {"paths": [5]}, {"paths": ["x0y"]}, {"paths": [["x0", 0]]})
+    yield {"paths": [["x0", 0, "y0", 1, "x1", 2], [3]]}
+
+
+def test_factor_from_dict_matches_reference_cold_and_warm():
+    with cold_vertex_tables():
+        for d in factor_objects():
+            want = parsed(reference_factor_from_dict, d)
+            with cold_vertex_tables():
+                assert parsed(factor_from_dict, d) == want
+            vertex_tables(16, 16)
+            assert parsed(factor_from_dict, d) == want
+    g, p = hamiltonian_p7_of_k34()
+    d = factor_to_dict(PathFactor((p,)))
+    assert parsed(factor_from_dict, d) == parsed(reference_factor_from_dict, d)
+
+
+def test_hostile_labels_never_grow_the_tables_past_the_label_count():
+    d = {"paths": [["x99999999999", 0, "y77777777", 1, "x3"], ["y5", 2, "x4000000", 3, "y0"], "x9999", 7]}
+    with cold_vertex_tables():
+        with pytest.raises(ValueError):
+            factor_from_dict(d)  # "x9999" is a string of length 5, not a path array
+        assert len(bigraph._XS) <= 6 and len(bigraph._YS) <= 6 and len(bigraph._LABELS) <= 12
+        assert xv(99999999999) == Vertex("X", 99999999999)
+        factor = factor_from_dict({"paths": d["paths"][:2]})
+        assert factor.paths[0].vertices[0] == Vertex("X", 99999999999)
+        assert len(bigraph._XS) <= 6 and len(bigraph._YS) <= 6
