@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import InvariantError
+
 
 class Vertex(NamedTuple):
     side: str  # "X" or "Y"
@@ -227,22 +229,85 @@ def _node_components(adj: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]
     return out
 
 
-def _trail(adj: Sequence[Sequence[tuple[int, int]]], used: bytearray, start: int) -> tuple[list[int], list[int]]:
-    """(nodes, edge ids) of the walk from `start` that always leaves by the
-    first unused edge in `adj` order, marking each edge it takes in `used`;
-    at maximum degree 2 it traces a whole path from an end, or a cycle."""
-    nodes, eids = [start], []
-    cur = start
-    while True:
-        for eid, w in adj[cur]:
-            if not used[eid]:
-                break
+def _split(
+    n: int, size: int, edges: Sequence[tuple[int, int]], eids: Sequence[int]
+) -> tuple[list[list[int]], list[tuple[list[int], list[int]]]]:
+    """An edge set in which every node has degree 1 or 2, split into cycles and paths.
+
+    `edges` lists (x, y) pairs by edge id and `eids` picks the set's edges
+    in ascending order; X-vertex i is node i and Y-vertex j is node n + j,
+    out of `size` nodes. Each cycle is its edge ids in walk order and each
+    path its (node ids, edge ids). Components come in order of their
+    smallest node; a cycle is walked from its smallest node along its lower
+    edge id, and a path from its smaller end. A node of degree 0 or above 2
+    raises InvariantError before any walk.
+    """
+    # Every node keeps its lower edge id in lo and the other in hi (-1 at
+    # degree 1). An edge's far end is its node-id sum minus the near end.
+    lo = [-1] * size
+    hi = [-1] * size
+    ends = [0] * len(edges)
+    for eid in eids:
+        x, y = edges[eid]
+        y += n
+        ends[eid] = x + y
+        if lo[x] < 0:
+            lo[x] = eid
         else:
-            return nodes, eids
-        used[eid] = 1
-        eids.append(eid)
-        nodes.append(w)
-        cur = w
+            hi[x] = eid
+        if lo[y] < 0:
+            lo[y] = eid
+        else:
+            hi[y] = eid
+    # degree 0 leaves lo at -1; above 2, the slots hold fewer edges than the node has
+    if -1 in lo or 2 * size - hi.count(-1) != 2 * len(eids):
+        deg = [0] * size
+        for eid in eids:
+            deg[edges[eid][0]] += 1
+            deg[n + edges[eid][1]] += 1
+        u = next(u for u, d in enumerate(deg) if not 1 <= d <= 2)
+        raise InvariantError(f"degree {deg[u]} at {node_vertex(n, u).label}; a path-and-cycle split needs 1 or 2")
+
+    def walk(u: int, eid: int) -> tuple[list[int], list[int]]:
+        """From u along eid to the next degree-1 node, or back to u."""
+        nodes, out = [u], []
+        cur = u
+        while True:
+            out.append(eid)
+            cur = ends[eid] - cur
+            if cur == u:
+                return nodes, out
+            nodes.append(cur)
+            nxt = lo[cur]
+            if nxt == eid:
+                nxt = hi[cur]
+                if nxt < 0:
+                    return nodes, out
+            eid = nxt
+
+    seen = bytearray(size)
+    cycles: list[list[int]] = []
+    paths: list[tuple[list[int], list[int]]] = []
+    u = seen.find(0)
+    while u >= 0:  # u is the smallest node of the next component
+        nodes, path = walk(u, lo[u])
+        last = nodes[-1]
+        if hi[u] >= 0 and hi[last] >= 0:  # stopped at a node of degree 2, so back at u: a cycle
+            cycles.append(path)
+        else:
+            if hi[u] >= 0:  # u is inside a path: its other half ends at the other end
+                back, back_path = walk(u, hi[u])
+                if back[-1] < last:
+                    nodes, path, back, back_path = back, back_path, nodes, path
+                nodes.reverse()
+                nodes += back[1:]
+                path.reverse()
+                path += back_path
+            paths.append((nodes, path))
+        for v in nodes:
+            seen[v] = 1
+        u = seen.find(0, u + 1)
+    return cycles, paths
 
 
 def components(g: BipartiteMultigraph) -> list[list[Vertex]]:

@@ -12,7 +12,7 @@ factor endpoints {2,3,4} or {3,4,5}, and Y-vertices one of {1,2,3,4},
 
 The construction runs on the node-id kernels of `pathfactor`: the
 leftover split (`_leftover`, which also checks the graph and the factor,
-and walks each cycle and path on two edge slots per node), the link graph
+and walks each cycle and path with `bigraph._split`), the link graph
 over X ids (`_link_graph`) and its breadth-first 2-coloring into a side
 array (`_two_color`). Colors are written straight into one list, and no
 `Vertex` or `Path` object is built. It double-checks its own output

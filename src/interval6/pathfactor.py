@@ -5,13 +5,11 @@ Two halves live here. The first half dissects a factor of a
 the link graph over the factor's interior X-vertices, and the proper
 2-coloring of that link graph. Those three objects are exactly what the
 coloring construction consumes, and each comes from one node-id kernel.
-`_leftover` walks the off-factor edges into cycles and paths of node and
-edge ids, on two edge slots per node and a node-id sum per edge; a
-leftover with a node of degree 0 or above 2, which only a factor that
-skipped its check can leave, goes through components and `bigraph._trail`
-instead. `_link_graph` builds the link graph over X ids and checks its
-degrees as array counts, and `_two_color` colors it breadth first into a
-side array. `coloring.color_from_factor` calls the kernels directly;
+`_leftover` splits the off-factor edges into cycles and paths of node and
+edge ids through `bigraph._split`, the one walk for every edge set of
+degrees 1 and 2. `_link_graph` builds the link graph over X ids and checks
+its degrees as array counts, and `_two_color` colors it breadth first into
+a side array. `coloring.color_from_factor` calls the kernels directly;
 `build_q`, `build_pgraph` and `two_color_pgraph` wrap them and build
 `Vertex`, `Path` and `PEdge` objects only for what they return.
 
@@ -53,8 +51,7 @@ from .bigraph import (
     BipartiteMultigraph,
     Vertex,
     _circuit,
-    _node_components,
-    _trail,
+    _split,
     biregular34_k,
     node_vertex,
     vertex_tables,
@@ -144,133 +141,31 @@ def _leftover(
     """The leftover split on node ids: (on_factor, cycles, paths).
 
     Checks the graph and the factor first. `on_factor` flags the factor's
-    edge ids; each cycle is its edge ids in walk order and each path its
-    (node ids, edge ids). Components come in order of their smallest node;
-    a cycle is walked from its smallest node and a path from its smaller
-    endpoint, always along the lowest unused edge id.
+    edge ids; the other edges go through `bigraph._split`, and a leftover
+    path must join two X-vertices.
     """
     biregular34_k(g)
     _factor_or_raise(g, factor)
     n, edges = g.x_count, g.edges
-    size = n + g.y_count
     on_factor = bytearray(len(edges))
     for p in factor.paths:
         for eid in p.edges:
             on_factor[eid] = 1
-    # Every node keeps 1 or 2 leftover edges: the lower id in lo, the other
-    # in hi (-1 at degree 1). An edge's far end is its node-id sum minus
-    # the near end.
-    lo = [-1] * size
-    hi = [-1] * size
-    ends = [0] * len(edges)
     off = list(compress(range(len(edges)), on_factor.translate(_FLIP)))
-    for eid in off:
-        x, y = edges[eid]
-        y += n
-        ends[eid] = x + y
-        if lo[x] < 0:
-            lo[x] = eid
-        else:
-            hi[x] = eid
-        if lo[y] < 0:
-            lo[y] = eid
-        else:
-            hi[y] = eid
-    # a node of degree 0, or one above 2 (its slots hold fewer edges than
-    # it has), only gets here with the factor check switched off
-    if -1 in lo or 2 * size - hi.count(-1) != 2 * len(off):
-        return (on_factor, *_leftover_components(n, size, edges, on_factor))
-
-    def walk(u: int, eid: int) -> tuple[list[int], list[int]]:
-        """From u along eid to the next degree-1 node, or back to u."""
-        nodes, eids = [u], []
-        cur = u
-        while True:
-            eids.append(eid)
-            cur = ends[eid] - cur
-            if cur == u:
-                return nodes, eids
-            nodes.append(cur)
-            nxt = lo[cur]
-            if nxt == eid:
-                nxt = hi[cur]
-                if nxt < 0:
-                    return nodes, eids
-            eid = nxt
-
-    seen = bytearray(size)
-    cycles: list[list[int]] = []
-    paths: list[tuple[list[int], list[int]]] = []
-    u = 0
-    while u >= 0:  # u is the smallest node of the next component
-        nodes, eids = walk(u, lo[u])
-        last = nodes[-1]
-        if hi[u] >= 0 and hi[last] >= 0:  # stopped at a node of degree 2, so back at u: a cycle
-            cycles.append(eids)
-        else:
-            if hi[u] >= 0:  # u is inside a path: its other half ends at the other end
-                back, back_eids = walk(u, hi[u])
-                if back[-1] < last:
-                    nodes, eids, back, back_eids = back, back_eids, nodes, eids
-                nodes.reverse()
-                nodes += back[1:]
-                eids.reverse()
-                eids += back_eids
-            if nodes[-1] >= n:
-                ones = [node_vertex(n, nodes[0]), node_vertex(n, nodes[-1])]
-                raise InvariantError(f"leftover path must join two X-vertices, got {ones}")
-            paths.append((nodes, eids))
-        for v in nodes:
-            seen[v] = 1
-        u = seen.find(0, u + 1)
+    cycles, paths = _split(n, n + g.y_count, edges, off)
+    for nodes, _ in paths:
+        if nodes[-1] >= n:  # nodes[0] is the smaller end
+            ones = [node_vertex(n, nodes[0]), node_vertex(n, nodes[-1])]
+            raise InvariantError(f"leftover path must join two X-vertices, got {ones}")
     return on_factor, cycles, paths
-
-
-def _leftover_components(
-    n: int, size: int, edges: Sequence[tuple[int, int]], on_factor: bytearray
-) -> tuple[list[list[int]], list[tuple[list[int], list[int]]]]:
-    """`_leftover`'s split for a leftover with a node of degree 0 or above
-    2, through its components in order, raising on the first that is not a
-    cycle or an X-to-X path."""
-    # leftover edges at every node id, as (edge id, other end) in edge-id order
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for eid in compress(range(len(edges)), on_factor.translate(_FLIP)):
-        x, y = edges[eid]
-        y += n
-        adj[x].append((eid, y))
-        adj[y].append((eid, x))
-    used = bytearray(len(edges))
-
-    def vertices(nodes: list[int]) -> list[Vertex]:
-        return [node_vertex(n, u) for u in nodes]
-
-    cycles: list[list[int]] = []
-    paths: list[tuple[list[int], list[int]]] = []
-    for comp in _node_components(adj):
-        if len(comp) == 1:  # the graph is bipartite, so only a node with no edges is alone
-            raise InvariantError(f"leftover graph has an isolated vertex in {vertices(comp)}")
-        ones = [u for u in comp if len(adj[u]) == 1]
-        if not ones:
-            nodes, eids = _trail(adj, used, comp[0])
-            if nodes[0] != nodes[-1] or len(eids) % 2:
-                raise InvariantError("leftover component is not an even closed walk")
-            cycles.append(eids)
-        else:
-            if len(ones) != 2 or ones[1] >= n:  # ones is sorted
-                raise InvariantError(f"leftover path must join two X-vertices, got {vertices(ones)}")
-            nodes, eids = _trail(adj, used, ones[0])
-            if nodes[-1] != ones[1]:
-                raise InvariantError("leftover path walk did not reach the other endpoint")
-            paths.append((nodes, eids))
-    return cycles, paths
 
 
 def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
     """Split the off-factor edges into even cycles and X-to-X paths.
 
     Components come in order of their smallest vertex; a cycle is walked
-    from its smallest vertex and a path from its smaller endpoint, always
-    along the lowest unused edge id.
+    from its smallest vertex along its lower edge id, and a path from its
+    smaller endpoint.
     """
     _, cycles, paths = _leftover(g, factor)
     return QDecomposition(tuple(map(tuple, cycles)), tuple(node_path(g.x_count, *p) for p in paths))
@@ -626,8 +521,8 @@ def _pair_search(
     Counts one node per visit to a search depth: a Y index, or the leaf
     past the last one. The node past `max_nodes` (None: no cap) ends the
     search as "unknown". Returns (status, walks, nodes); on "found" the
-    walks are the factor's paths, each from its smaller X-end, in the
-    order of those ends, and otherwise None.
+    walks are the factor's paths as `bigraph._split` walks them, each from
+    its smaller X-end, in the order of those ends, and otherwise None.
     """
     k = biregular34_k(g)
     allowed = _length_set(lengths)
@@ -663,8 +558,10 @@ def _pair_search(
         if nodes > cap:
             return "unknown", None, nodes
         if j == ny:
-            chosen = [e for pj, t in zip(pairs, tried) for e in pj[t - 1][:2]]
-            return "found", _walks(g, chosen, end), nodes
+            chosen = sorted(e for pj, t in zip(pairs, tried) for e in pj[t - 1][:2])
+            walks = _split(n, n + ny, g.edges, chosen)[1]
+            walks.sort()  # by first node: each path's smaller X-end
+            return "found", walks, nodes
         pj = pairs[j]
         t = tried[j]
         if t:  # undo the previous try: x2 and then x1 is a path end again
@@ -701,19 +598,6 @@ def _pair_search(
         else:
             j += 1
     return "none", None, nodes
-
-
-def _walks(g: BipartiteMultigraph, chosen: list[int], end: list[int]) -> list[Walk]:
-    """The paths of the factor `chosen`, each walked from its smaller
-    X-end (`end` pairs them up), in the order of those ends."""
-    n = g.x_count
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + g.y_count)]
-    for eid in chosen:
-        x, y = g.edges[eid]
-        adj[x].append((eid, n + y))
-        adj[n + y].append((eid, x))
-    used = bytearray(g.edge_count)
-    return [_trail(adj, used, x) for x in range(n) if len(adj[x]) == 1 and x < end[x]]
 
 
 def search_proper_path_factor(

@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .bigraph import BipartiteMultigraph, Vertex, _node_components, _trail, node_vertex, vertex_tables
+from .bigraph import BipartiteMultigraph, Vertex, _node_components, node_vertex, vertex_tables
 from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, finish_factor
 from .errors import InvariantError
 from .pathfactor import _exact_cover
@@ -99,13 +99,19 @@ class FGraph:
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex cycles in forward order, each starting at its smallest vertex."""
-        adj = [((p, self.edges[p].v),) for p in self.out_index]  # the out-edge only
-        used = bytearray(len(self.edges))
+        """Vertex cycles in forward order along `out_index`, each starting at its smallest vertex."""
+        succ = [self.edges[p].v for p in self.out_index]
+        seen = bytearray(self.n)
         out = []
-        for start, p in enumerate(self.out_index):
-            if not used[p]:
-                out.append(tuple(_trail(adj, used, start)[0][:-1]))  # the trail closes at start
+        for start in range(self.n):
+            cyc = []
+            u = start
+            while not seen[u]:
+                seen[u] = 1
+                cyc.append(u)
+                u = succ[u]
+            if cyc:
+                out.append(tuple(cyc))
         return tuple(out)
 
     @cached_property

@@ -3,23 +3,38 @@
 `checker.path_factor_violation`, `pathfactor.build_q`,
 `checker._coloring_scan` and `coloring.color_from_factor` (with
 `build_pgraph` and `two_color_pgraph`) run over integer node ids, flag
-arrays and color bitmasks; `checker.coloring_from_dict` and
+arrays and color bitmasks; `bigraph._split` walks every edge set of
+degrees 1 and 2 on two edge slots per node; `checker.coloring_from_dict` and
 `checker._validate_coloring` check types and ranges in whole-sequence
 passes. The versions below are the direct readings of the definitions
 they replaced, kept only as references: on every factor and coloring,
 valid or mutated, both must return equal results or raise the same
-exception type with the same message.
+exception type with the same message. The one exception is a leftover
+with a node of degree 0 or above 2, which only a factor that skipped its
+check can leave: `_split` refuses it before walking, while the reference
+split walked it as far as it went (see `test_fake_factors_match_reference`).
 """
 
 import hashlib
 import random
 import re
+import sys
 
 import pytest
 from helpers import random_core_admitting, random_cover_admitting
 
-from interval6 import pathfactor
-from interval6.bigraph import BipartiteMultigraph, Vertex, _strict_int, biregular34_k, xv, yv
+from interval6 import coloring, pathfactor
+from interval6.bigraph import (
+    BipartiteMultigraph,
+    Vertex,
+    _node_components,
+    _split,
+    _strict_int,
+    biregular34_k,
+    node_vertex,
+    xv,
+    yv,
+)
 from interval6.checker import (
     FACTOR_LENGTHS,
     EdgeColoring,
@@ -162,6 +177,61 @@ def reference_build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposit
     return QDecomposition(tuple(cycles), tuple(paths))
 
 
+def reference_trail(adj, used: bytearray, start: int) -> tuple[list[int], list[int]]:
+    """(nodes, edge ids) of the walk from `start` that always leaves by the
+    first unused edge in `adj` order, marking each edge it takes in `used`;
+    at maximum degree 2 it traces a whole path from an end, or a cycle."""
+    nodes, eids = [start], []
+    cur = start
+    while True:
+        for eid, w in adj[cur]:
+            if not used[eid]:
+                break
+        else:
+            return nodes, eids
+        used[eid] = 1
+        eids.append(eid)
+        nodes.append(w)
+        cur = w
+
+
+def reference_split(n: int, size: int, edges, eids) -> tuple[list[list[int]], list[tuple[list[int], list[int]]]]:
+    """The component-and-trail split `bigraph._split` replaced, raising on
+    the first component that is not a cycle or a path; the X-end check is
+    `_leftover`'s, so it is not repeated here."""
+    # edges of the set at every node id, as (edge id, other end) in edge-id order
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for eid in eids:
+        x, y = edges[eid]
+        y += n
+        adj[x].append((eid, y))
+        adj[y].append((eid, x))
+    used = bytearray(len(edges))
+
+    def vertices(nodes: list[int]) -> list[Vertex]:
+        return [node_vertex(n, u) for u in nodes]
+
+    cycles: list[list[int]] = []
+    paths: list[tuple[list[int], list[int]]] = []
+    for comp in _node_components(adj):
+        if len(comp) == 1:  # the graph is bipartite, so only a node with no edges is alone
+            raise InvariantError(f"leftover graph has an isolated vertex in {vertices(comp)}")
+        ones = [u for u in comp if len(adj[u]) == 1]
+        if not ones:
+            nodes, eids = reference_trail(adj, used, comp[0])
+            if nodes[0] != nodes[-1] or len(eids) % 2:
+                raise InvariantError("leftover component is not an even closed walk")
+            cycles.append(eids)
+        else:
+            if len(ones) != 2:
+                raise InvariantError(f"leftover path must join two X-vertices, got {vertices(ones)}")
+            nodes, eids = reference_trail(adj, used, ones[0])
+            if nodes[-1] != ones[1]:
+                raise InvariantError("leftover path walk did not reach the other endpoint")
+            paths.append((nodes, eids))
+    return cycles, paths
+
+
 def reference_coloring_scan(
     g: BipartiteMultigraph, coloring: EdgeColoring
 ) -> tuple[bool, tuple[Vertex, tuple[int, ...]] | None]:
@@ -243,28 +313,35 @@ def larger():
     return out
 
 
-def counting(monkeypatch, module, name: str) -> list[int]:
-    """Wrap module.name to count its calls; the count is the list's length."""
-    calls: list[int] = []
-    inner = getattr(module, name)
+def split_degree_error(n: int, size: int, edges, eids) -> tuple[str, str] | None:
+    """What `_split` raises on the edge set, counted apart from it, or None
+    when every node has degree 1 or 2."""
+    deg = [0] * size
+    for eid in eids:
+        x, y = edges[eid]
+        deg[x] += 1
+        deg[n + y] += 1
+    u = next((u for u, d in enumerate(deg) if not 1 <= d <= 2), None)
+    if u is None:
+        return None
+    return "InvariantError", f"degree {deg[u]} at {node_vertex(n, u).label}; a path-and-cycle split needs 1 or 2"
 
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
 
-    monkeypatch.setattr(module, name, counted)
-    return calls
+def leftover_degree_error(g: BipartiteMultigraph, factor: PathFactor) -> tuple[str, str] | None:
+    """`split_degree_error` on the edges off `factor` (whose edge ids are in range)."""
+    on = factor.edge_ids()
+    off = [e for e in range(g.edge_count) if e not in on]
+    return split_degree_error(g.x_count, g.x_count + g.y_count, g.edges, off)
 
 
-def test_valid_factors_match_reference(factored, larger, monkeypatch):
+def test_valid_factors_match_reference(factored, larger):
     assert len(larger) >= 8
-    fallback = counting(monkeypatch, pathfactor, "_leftover_components")
     for g, factor in factored + larger:
         assert same(path_factor_violation, reference_path_factor_violation, g, factor) == ("ok", None)
+        assert leftover_degree_error(g, factor) is None  # a proper path factor leaves degrees 1 and 2
         assert same(build_q, reference_build_q, g, factor)[0] == "ok"
         col = color_from_factor(g, factor)
         assert same(_coloring_scan, reference_coloring_scan, g, col) == ("ok", (True, None))
-    assert not fallback  # a proper path factor leaves every node degree 1 or 2
 
 
 def replace_path(factor: PathFactor, pi: int, verts, eids) -> PathFactor:
@@ -329,27 +406,126 @@ def test_mutated_factors_match_reference(factored):
 
 
 def test_build_q_invariants_match_reference(factored, monkeypatch):
-    """With the factor check switched off, arbitrary edge sets reach every InvariantError."""
+    """With the factor check switched off, arbitrary edge sets reach the
+    split's degree guard and, past it, the X-end check."""
     monkeypatch.setattr(pathfactor, "_factor_or_raise", lambda g, factor: None)
     monkeypatch.setitem(globals(), "reference_factor_or_raise", lambda g, factor: None)
-    fallback = counting(monkeypatch, pathfactor, "_leftover_components")
     rng = random.Random(5)
-    kinds = {True: set(), False: set()}  # by whether the split took the fallback
+    kinds = set()  # past the guard
+    degrees = set()  # the degrees the guard refused
     for g, _ in factored:
         for density in (0.0, 0.2, 0.4, 0.6, 0.9, 1.0):
             eids = tuple(e for e in range(g.edge_count) if rng.random() < density)
             fake = PathFactor((Path((), eids),))
-            before = len(fallback)
-            kind, what = same(build_q, reference_build_q, g, fake)
-            kinds[len(fallback) > before].add(what.split(" ")[1] if kind == "InvariantError" else kind)
-    assert {"ok", "graph", "component", "path"} <= kinds[True]
-    assert "path" in kinds[False]  # a Y-end on a leftover of degrees 1 and 2
+            want = leftover_degree_error(g, fake)
+            if want is None:
+                kind, what = same(build_q, reference_build_q, g, fake)
+                kinds.add(what.split(" ")[1] if kind == "InvariantError" else kind)
+            else:
+                assert outcome(build_q, g, fake) == want
+                degrees.add(int(want[1].split(" ")[1]))
+    assert "path" in kinds  # a Y-end on a leftover of degrees 1 and 2
+    assert {0, 3, 4} <= degrees
 
 
 def test_build_q_rejects_non_biregular_graphs_like_reference():
     g, factor = subset_graph_6()
     h = BipartiteMultigraph(g.x_count, g.y_count, g.edges[:-1])
     assert same(build_q, reference_build_q, h, factor)[0] == "ValueError"
+
+
+# --- the path-and-cycle split -------------------------------------------
+
+
+def random_split_set(rng: random.Random, cycles: int, paths: int, doubled: int = 0):
+    """(n, size, edges, eids): an edge set of `cycles` even cycles of length
+    4 or more, `doubled` 2-cycles (a parallel pair) and `paths` paths of
+    length 1 or more, on fresh vertices with shuffled labels. `edges` also
+    holds a few edges outside the set, all in shuffled order."""
+    comps = []  # (alternating X/Y vertex list, closed?), before relabelling
+    counts = {"X": 0, "Y": 0}
+
+    def fresh(side: str) -> tuple[str, int]:
+        counts[side] += 1
+        return side, counts[side] - 1
+
+    for length in [2 * rng.randint(2, 5) for _ in range(cycles)] + [2] * doubled:
+        comps.append(([fresh("XY"[i % 2]) for i in range(length)], True))
+    for _ in range(paths):
+        first = rng.randrange(2)
+        comps.append(([fresh("XY"[(first + i) % 2]) for i in range(rng.randint(2, 9))], False))
+    rng.shuffle(comps)
+    perm = {side: rng.sample(range(c), c) for side, c in counts.items()}
+    chosen = []
+    for verts, closed in comps:
+        for a, b in zip(verts, verts[1:] + verts[:1] if closed else verts[1:]):
+            x, y = (a, b) if a[0] == "X" else (b, a)
+            chosen.append((perm["X"][x[1]], perm["Y"][y[1]]))
+    n, ny = counts["X"], counts["Y"]
+    extra = [(rng.randrange(n), rng.randrange(ny)) for _ in range(rng.randrange(4))] if n and ny else []
+    tagged = [(e, True) for e in chosen] + [(e, False) for e in extra]
+    rng.shuffle(tagged)
+    return n, n + ny, [e for e, _ in tagged], [eid for eid, (_, inside) in enumerate(tagged) if inside]
+
+
+def split_bounded(*args):
+    """`outcome(_split, *args)`, or a RuntimeError outcome once the split
+    has run 100,000 traced events: a walk circling a loop never returns."""
+    events = 0
+
+    def tick(frame, event, arg):
+        nonlocal events
+        events += 1
+        if events > 100_000:
+            raise RuntimeError("_split did not stop")
+        return tick
+
+    sys.settrace(tick)
+    try:
+        return outcome(_split, *args)
+    finally:
+        sys.settrace(None)
+
+
+@pytest.mark.parametrize(
+    "cycles, paths, doubled",
+    [(3, 0, 0), (0, 4, 0), (2, 3, 1), (0, 0, 3), (1, 1, 0)],
+    ids=["cycles", "paths", "mixed", "doubled", "one-each"],
+)
+def test_split_matches_reference(cycles, paths, doubled):
+    rng = random.Random(cycles * 100 + paths * 10 + doubled)
+    for _ in range(150):
+        n, size, edges, eids = random_split_set(rng, cycles, paths, doubled)
+        got = _split(n, size, edges, eids)
+        assert got == reference_split(n, size, edges, eids)
+        assert (len(got[0]), len(got[1])) == (cycles + doubled, paths)
+
+
+def test_split_of_nothing_is_empty():
+    assert _split(0, 0, [], []) == ([], [])
+    assert _split(0, 0, [], []) == reference_split(0, 0, [], [])
+
+
+def test_split_refuses_degree_0_or_above_2():
+    rng = random.Random(23)
+    degrees = set()
+    for _ in range(400):
+        n, size, edges, eids = random_split_set(rng, rng.randrange(3), rng.randrange(1, 4), rng.randrange(2))
+        if rng.random() < 0.25:
+            size += 1  # a Y-vertex with no edge
+        else:  # one or two more edges inside the set; one from a path's end to its own interior
+            # makes a loop that a walk with no degree guard would circle forever
+            for _ in range(rng.randint(1, 2)):
+                edges.append((rng.randrange(n), rng.randrange(size - n)))
+                eids.append(len(edges) - 1)
+        want = split_degree_error(n, size, edges, eids)
+        if want is None:  # the new edges only joined path ends
+            assert split_bounded(n, size, edges, eids) == ("ok", reference_split(n, size, edges, eids))
+        else:
+            assert split_bounded(n, size, edges, eids) == want
+            degrees.add(int(want[1].split(" ")[1]))
+    assert {0, 3, 4} <= degrees
+    assert split_bounded(1, 2, [(0, 0)], []) == ("InvariantError", "degree 0 at x0; a path-and-cycle split needs 1 or 2")
 
 
 def greedy_proper_coloring(g: BipartiteMultigraph, rng: random.Random) -> EdgeColoring:
@@ -604,39 +780,53 @@ def in_range(g: BipartiteMultigraph, factor: PathFactor) -> bool:
 
 
 def test_fake_factors_match_reference(factored, seeded, monkeypatch):
-    """With the factor check switched off, bad factors reach every check of
-    the leftover split, the link graph and the coloring itself."""
+    """With the factor check switched off, bad factors reach the split's
+    degree guard, and past it every check of the link graph and the
+    coloring that a whole leftover split leaves reachable."""
     monkeypatch.setattr(pathfactor, "_factor_or_raise", lambda g, factor: None)
     monkeypatch.setitem(globals(), "reference_factor_or_raise", lambda g, factor: None)
     rng = random.Random(8)
     messages = set()
+    refused = 0
     for g, factor in factored + seeded[::4]:
         # out-of-range ids are the factor check's to reject; the kernels index by them
         fakes = list(relabelled(g, factor, rng)) + [f for f in mutations(g, factor, rng) if in_range(g, f)]
         for density in (0.2, 0.6, 1.0):
             fakes.append(PathFactor((Path((), tuple(e for e in range(g.edge_count) if rng.random() < density)),)))
         for fake in fakes:
+            want = leftover_degree_error(g, fake)
+            if want is not None:
+                # no split into paths and cycles exists; the reference walked
+                # what it could and failed in one of several ways, none a coloring
+                assert outcome(color_from_factor, g, fake) == outcome(build_pgraph, g, fake) == want
+                assert outcome(reference_color_from_factor, g, fake)[0] != "ok"
+                refused += 1
+                continue
             kind, what = same(color_from_factor, reference_color_from_factor, g, fake)
             messages.add(re.match(r"[a-z ]*", what).group() if kind == "InvariantError" else kind)
             kind, pg = same(build_pgraph, reference_build_pgraph, g, fake)
             if kind == "ok":
                 same(two_color_pgraph, reference_two_color_pgraph, pg)
+    assert refused >= 100
     # every link vertex has one (c) edge and at most one (a)/(b) edge once
     # the degree check passes, so the odd-cycle check is reached only
-    # through two_color_pgraph (see the next test)
+    # through two_color_pgraph (see the next test); a whole split colors
+    # every edge, so an uncolored one takes a broken split (see below)
     assert messages == {
         "ok",
-        "IndexError",  # a path given as edge ids alone has no interior vertices to read
-        "leftover graph has an isolated vertex in ",
-        "leftover component is not an even closed walk",
-        "leftover path must join two ",
-        "leftover path walk did not reach the other endpoint",
         "link edge touches non",
         "vertex x",
-        "construction left an edge uncolored",
         "construction produced a color clash",
         "construction failed",
     }
+
+
+def test_coloring_refuses_a_split_that_lost_a_cycle(monkeypatch):
+    g, factor = subset_graph_6()
+    on_factor, cycles, paths = pathfactor._leftover(g, factor)
+    assert cycles
+    monkeypatch.setattr(coloring, "_leftover", lambda g, factor: (on_factor, cycles[1:], paths))
+    assert outcome(color_from_factor, g, factor) == ("InvariantError", "construction left an edge uncolored")
 
 
 def test_two_color_pgraph_matches_reference_on_random_link_graphs():

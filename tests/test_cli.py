@@ -227,6 +227,18 @@ def test_color_rejects_wrong_factor(capsys, tmp_path):
     assert code == 3 and "factor rejected" in err
 
 
+def test_empty_graph_factors_and_colors(capsys, tmp_path):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"x_count": 0, "y_count": 0, "edges": []}')
+    fpath = tmp_path / "f.json"
+    code, out, _ = run(capsys, "factor", "--in", str(gpath), "--out", str(fpath))
+    assert code == 0 and json.loads(out)["status"] == "found"
+    assert json.loads(fpath.read_text()) == {"paths": []}
+    code, out, err = run(capsys, "color", "--in", str(gpath), "--factor", str(fpath))
+    assert (code, err) == (0, "")
+    assert coloring_from_dict(json.loads(out)) == checker.EdgeColoring((), 6)
+
+
 def test_color_checks_the_factor_once(capsys, tmp_path, monkeypatch):
     """`color` leaves the factor check to `color_from_factor`: one
     `path_factor_violation` call per run, whether the factor passes or not."""

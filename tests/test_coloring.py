@@ -3,12 +3,15 @@ import random
 import pytest
 from helpers import random_cover_admitting
 
-from interval6.bigraph import build, xv, yv
-from interval6.checker import check_interval, check_proper
+from interval6.bigraph import BipartiteMultigraph, build, xv, yv
+from interval6.checker import EdgeColoring, PathFactor, check_interval, check_proper
 from interval6.coloring import FACTOR_COLORS, LEFTOVER_COLORS, color_from_factor, color_summary
 from interval6.generators import random_34_biregular, subset_graph_6
 from interval6.pathfactor import (
+    PGraph,
+    QDecomposition,
     build_pgraph,
+    build_q,
     p7_factor_via_24,
     search_proper_path_factor,
     two_color_pgraph,
@@ -105,6 +108,14 @@ def test_rejects_invalid_factor():
     h = k34()
     with pytest.raises(ValueError):
         color_from_factor(h, factor)
+
+
+def test_empty_graph_colors_with_nothing_to_split():
+    # k = 0: no vertices, so the leftover split has no component to start from
+    g, factor = BipartiteMultigraph(0, 0, ()), PathFactor(())
+    assert build_q(g, factor) == QDecomposition((), ())
+    assert build_pgraph(g, factor) == PGraph((), ())
+    assert color_from_factor(g, factor) == EdgeColoring((), 6)
 
 
 def test_color_summary():
