@@ -320,41 +320,6 @@ def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
     return [[node_vertex(n, v) for v in comp] for comp in _node_components(g.node_adj)]
 
 
-def _circuit(adj: Sequence[Sequence[tuple[int, int]]], used: bytearray, ptr: list[int], start: int,
-             out: list[int], inside: bytearray | None = None) -> int:
-    """Hierholzer's walk from `start` through every unused edge of its
-    component, appended to `out` as edge ids in reverse walk order. A node
-    leaves by its first unused edge in `adj` order; `used` and the scan
-    positions `ptr` may be shared across starts. With `inside`, the walk
-    stops at the first node it reaches outside it and returns that node;
-    otherwise it returns -1."""
-    nodes = [start]  # the walk's open stack; entries[i] led to nodes[i + 1]
-    entries: list[int] = []
-    v = start
-    while True:
-        a = adj[v]
-        p = ptr[v]
-        d = len(a)
-        while p < d and used[a[p][0]]:
-            p += 1
-        if p < d:
-            eid, w = a[p]
-            ptr[v] = p + 1
-            used[eid] = 1
-            if inside is not None and not inside[w]:
-                return w
-            nodes.append(w)
-            entries.append(eid)
-            v = w
-        else:
-            ptr[v] = p
-            nodes.pop()
-            if not entries:
-                return -1
-            out.append(entries.pop())
-            v = nodes[-1]
-
-
 def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex]) -> list[int]:
     """Closed walk through every edge of one component, as edge ids.
 
@@ -377,10 +342,36 @@ def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex]) -> lis
     inside = bytearray(len(adj))
     for u in nodes:
         inside[u] = 1
+    # Hierholzer's walk: a node leaves by its first unused edge in `adj`
+    # order, and an edge id is written when the walk backs out of it
+    used = bytearray(g.edge_count)
+    ptr = [0] * len(adj)  # per node: where its scan for an unused edge resumes
+    stack = [carriers[0]]  # the open walk; entries[i] led to stack[i + 1]
+    entries: list[int] = []
     rev: list[int] = []
-    left = _circuit(adj, bytearray(g.edge_count), [0] * len(adj), carriers[0], rev, inside)
-    if left >= 0:
-        raise ValueError(f"edge leaves the given component at {node_vertex(n, left).label}")
+    v = carriers[0]
+    while True:
+        a = adj[v]
+        p = ptr[v]
+        d = len(a)
+        while p < d and used[a[p][0]]:
+            p += 1
+        if p < d:
+            eid, w = a[p]
+            ptr[v] = p + 1
+            used[eid] = 1
+            if not inside[w]:
+                raise ValueError(f"edge leaves the given component at {node_vertex(n, w).label}")
+            stack.append(w)
+            entries.append(eid)
+            v = w
+        else:
+            ptr[v] = p
+            stack.pop()
+            if not entries:
+                break
+            rev.append(entries.pop())
+            v = stack[-1]
     if len(rev) != sum(len(adj[u]) for u in carriers) // 2:
         raise ValueError("component argument is not connected")
     rev.reverse()

@@ -93,10 +93,10 @@ def color_from_factor(g: BipartiteMultigraph, factor: PathFactor) -> EdgeColorin
         for eid, c in zip(eids, _FACTOR_RUNS[length][sides.count(1)]):
             colors[eid] = c
 
-    if 0 in colors:
-        raise InvariantError("construction left an edge uncolored")
     kinds = bytes(colors).translate(_COLOR_KIND)
-    if kinds != on_factor:
+    if kinds != on_factor:  # an uncolored edge (color 0) is of neither kind
+        if 0 in colors:
+            raise InvariantError("construction left an edge uncolored")
         eid = next(e for e, (kind, f) in enumerate(zip(kinds, on_factor)) if kind != f)
         want = FACTOR_COLORS if on_factor[eid] else LEFTOVER_COLORS
         raise InvariantError(f"edge {eid} got color {colors[eid]}, outside {sorted(want)}")

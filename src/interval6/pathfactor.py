@@ -22,9 +22,10 @@ parity class of an Euler circuit gives every degree-2 vertex degree 1,
 so the two paths a peeled vertex joins are always distinct.
 
 Both half factors come from one linear kernel, `_half_pairs`: Hierholzer's
-walk (`bigraph._circuit`) over every component of a (2,4)-biregular edge
-list on node ids, with one shared used/pointer array, returning each
-Y-centre's two edges. `p7_factor_via_24` peels the cover in one pass over
+walk over every component of a (2,4)-biregular edge list, stepping from
+Y-vertex to Y-vertex (an X-vertex has degree 2, so the edge it is left by
+is forced) with one shared used/pointer array, returning each Y-centre's
+two edges. `p7_factor_via_24` peels the cover in one pass over
 `g.edges` and builds `Path` objects, over the shared `Vertex` tables, only
 for the factor it returns; `p3_half_factor` wraps the same kernel.
 
@@ -50,7 +51,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .bigraph import (
     BipartiteMultigraph,
     Vertex,
-    _circuit,
     _split,
     biregular34_k,
     node_vertex,
@@ -262,26 +262,70 @@ def two_color_pgraph(pg: PGraph) -> dict[int, str]:
 def _half_pairs(x_count: int, y_count: int, edges: Sequence[tuple[int, int]], parity: int) -> list[tuple[int, int]]:
     """Per Y-vertex, its two edge ids in parity class `parity`, lower X-end first.
 
-    `edges` lists a (2,4)-biregular graph's (x, y) pairs by edge id; node
-    ids are X-vertex i as i and Y-vertex j as x_count + j, each node's
-    edges in edge-id order. Every component's circuit starts at its lowest
-    node, an X-vertex, and has even length, so the reversed circuits laid
-    end to end keep each circuit's parity classes.
+    `edges` lists a (2,4)-biregular graph's (x, y) pairs by edge id. Each
+    component's Euler circuit (Hierholzer's walk) starts at its lowest
+    X-vertex along that vertex's lower edge id, and has even length, so
+    the reversed circuits laid end to end keep each circuit's parity
+    classes. The walk steps from Y-vertex to Y-vertex: a Y-vertex leaves
+    by its lowest unused edge, and the X-vertex that edge enters has
+    degree 2, so the edge it is left by is forced. Edges go into `rev` in
+    reverse walk order: a stuck Y-vertex gives up the outgoing and then
+    the incoming edge of the X-vertex before it, an edge back into the
+    start vertex is given up at once, and the start's first edge comes
+    last.
     """
     n = x_count
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + y_count)]
+    first = [-1] * n  # per X-vertex: its lower edge id
+    other = [0] * len(edges)  # per edge: the other edge at its X-vertex
+    y_of = [0] * len(edges)
+    at: list[list[int]] = [[] for _ in range(y_count)]  # per Y-vertex: its edge ids
+    x_deg = [0] * n
     for eid, (x, y) in enumerate(edges):
-        adj[x].append((eid, n + y))
-        adj[n + y].append((eid, x))
-    degrees = list(map(len, adj))
-    if degrees[:n].count(2) != n or degrees[n:].count(4) != y_count:
+        y_of[eid] = y
+        at[y].append(eid)
+        x_deg[x] += 1
+        f = first[x]
+        if f < 0:
+            first[x] = eid
+        else:
+            other[f] = eid
+            other[eid] = f
+    if x_deg.count(2) != n or any(len(a) != 4 for a in at):
         raise ValueError("graph is not (2,4)-biregular")
     used = bytearray(len(edges))
-    ptr = [0] * len(adj)
+    ptr = [0] * y_count
     rev: list[int] = []
-    for start in range(n):
-        if ptr[start] == 0:  # not yet on a walked component
-            _circuit(adj, used, ptr, start, rev)
+    for e0 in first:
+        if used[e0]:  # already on a walked component
+            continue
+        used[e0] = 1
+        y = y_of[e0]
+        steps: list[int] = []  # per X-vertex on the open walk: its incoming, then its outgoing edge
+        while True:
+            a = at[y]
+            p = ptr[y]
+            while p < 4 and used[a[p]]:
+                p += 1
+            if p < 4:
+                e = a[p]
+                ptr[y] = p + 1
+                used[e] = 1
+                f = other[e]
+                if used[f]:  # back at the start vertex
+                    rev.append(e)
+                    continue
+                used[f] = 1
+                steps.append(e)
+                steps.append(f)
+                y = y_of[f]
+            elif steps:
+                rev.append(steps.pop())
+                e = steps.pop()
+                rev.append(e)
+                y = y_of[e]
+            else:  # the first Y-vertex is stuck
+                rev.append(e0)
+                break
     # circuit position i sits at an index of the other parity in its reversal
     at_y: list[list[int]] = [[] for _ in range(y_count)]
     x_hits = [0] * n

@@ -2,12 +2,14 @@
 they replaced.
 
 `pathfactor.p7_factor_via_24` and `pathfactor.p3_half_factor` run on one
-node-id kernel (`_half_pairs`) and `bigraph.eulerian_circuit` on the same
-Euler walker (`bigraph._circuit`); `checker.factor_from_dict` reads plain
-labels and int edge ids without a regex. The versions below are the
-`Vertex`-graph code they replaced, kept only as references: on every
-input both must return equal results or raise the same exception type
-with the same message.
+kernel, `_half_pairs`, whose Euler walk steps from Y-vertex to Y-vertex;
+`bigraph.eulerian_circuit` walks node by node on its own.
+`checker.factor_from_dict` reads plain labels and int edge ids without a
+regex. The versions below are the code they replaced, kept only as
+references: the `Vertex`-graph pipeline, and `reference_half_pairs`, the
+node-by-node walk (`reference_circuit`) that `_half_pairs` ran before.
+On every input both must return equal results or raise the same
+exception type with the same message.
 """
 
 import random
@@ -32,7 +34,61 @@ from interval6.bigraph import (
 from interval6.checker import Path, PathFactor, factor_from_dict, factor_to_dict, path_factor_violation
 from interval6.errors import InvariantError
 from interval6.generators import random_34_biregular
-from interval6.pathfactor import HalfFactor, find_y_cover, p3_half_factor, p7_factor_via_24
+from interval6.pathfactor import HalfFactor, _half_pairs, find_y_cover, p3_half_factor, p7_factor_via_24
+
+
+def reference_circuit(adj, used: bytearray, ptr: list[int], start: int, out: list[int]) -> int:
+    """The node-by-node Euler walk `reference_half_pairs` runs, as it ran there (no `inside` bound)."""
+    nodes = [start]  # the walk's open stack; entries[i] led to nodes[i + 1]
+    entries: list[int] = []
+    v = start
+    while True:
+        a = adj[v]
+        p = ptr[v]
+        d = len(a)
+        while p < d and used[a[p][0]]:
+            p += 1
+        if p < d:
+            eid, w = a[p]
+            ptr[v] = p + 1
+            used[eid] = 1
+            nodes.append(w)
+            entries.append(eid)
+            v = w
+        else:
+            ptr[v] = p
+            nodes.pop()
+            if not entries:
+                return -1
+            out.append(entries.pop())
+            v = nodes[-1]
+
+
+def reference_half_pairs(x_count: int, y_count: int, edges, parity: int) -> list[tuple[int, int]]:
+    n = x_count
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + y_count)]
+    for eid, (x, y) in enumerate(edges):
+        adj[x].append((eid, n + y))
+        adj[n + y].append((eid, x))
+    degrees = list(map(len, adj))
+    if degrees[:n].count(2) != n or degrees[n:].count(4) != y_count:
+        raise ValueError("graph is not (2,4)-biregular")
+    used = bytearray(len(edges))
+    ptr = [0] * len(adj)
+    rev: list[int] = []
+    for start in range(n):
+        if ptr[start] == 0:  # not yet on a walked component
+            reference_circuit(adj, used, ptr, start, rev)
+    # circuit position i sits at an index of the other parity in its reversal
+    at_y: list[list[int]] = [[] for _ in range(y_count)]
+    x_hits = [0] * n
+    for eid in rev[1 - parity :: 2]:
+        x, y = edges[eid]
+        x_hits[x] += 1
+        at_y[y].append(eid)
+    if x_hits.count(1) != n or any(len(two) != 2 for two in at_y):
+        raise InvariantError("parity class is not a half factor")
+    return [(e1, e2) if edges[e1][0] < edges[e2][0] else (e2, e1) for e1, e2 in at_y]
 
 
 def reference_eulerian_circuit(g: BipartiteMultigraph, component) -> list[int]:
@@ -232,6 +288,32 @@ def test_half_factor_matches_reference_on_component_unions():
     for bad in (build(2, 1, [(0, 0), (1, 0)]), build(4, 3, [(i, j) for i in range(4) for j in range(3)])):
         assert outcome(p3_half_factor, bad) == outcome(reference_p3_half_factor, bad)
     assert p3_half_factor(build(0, 0, [])) == reference_p3_half_factor(build(0, 0, []))
+
+
+def parallel_start_24(m: int, rng: random.Random) -> BipartiteMultigraph:
+    """A `random_24_biregular` graph whose X-vertex 0 has both its edges to one Y-vertex."""
+    y_stubs = [j for j in range(m) for _ in range(4)]
+    rng.shuffle(y_stubs)
+    twin = y_stubs.index(y_stubs[0], 1)
+    y_stubs[1], y_stubs[twin] = y_stubs[twin], y_stubs[1]
+    return build(2 * m, m, [(s // 2, y_stubs[s]) for s in range(4 * m)])
+
+
+def test_half_pairs_matches_the_circuit_walk():
+    rng = random.Random(424)
+    graphs = []
+    for _ in range(200):
+        size = rng.randrange(1, 7)
+        parts = [random_24_biregular(size, rng) for _ in range(rng.randrange(1, 6))]
+        graphs.append(union(parts, rng))
+        # every part's lowest X-vertex starts a component, with both edges to one Y-vertex
+        graphs.append(union([parallel_start_24(size, rng) for _ in range(rng.randrange(1, 4))], rng))
+    graphs += [build(2, 1, [(0, 0), (1, 0)]), build(4, 3, [(i, j) for i in range(4) for j in range(3)])]
+    graphs += [build(0, 0, []), build(2, 1, [(0, 0)] * 2 + [(1, 0)] * 2)]
+    for h in graphs:
+        for parity in (0, 1):
+            args = (h.x_count, h.y_count, h.edges, parity)
+            assert outcome(_half_pairs, *args) == outcome(reference_half_pairs, *args), (h, parity)
 
 
 def test_eulerian_circuit_matches_reference_on_good_and_bad_vertex_sets():
