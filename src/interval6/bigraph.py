@@ -384,11 +384,6 @@ def is_two_edge_connected(g: BipartiteMultigraph) -> bool:
     if n == 0:
         return False
     adj = g.node_adj
-    if len(_node_components(adj)) != 1:
-        return False
-    if g.edge_count == 0:
-        return n == 1
-
     disc = [-1] * n
     low = [0] * n
     timer = 0
@@ -422,7 +417,7 @@ def is_two_edge_connected(g: BipartiteMultigraph) -> bool:
             low[pv] = min(low[pv], low[v])
             if low[v] > disc[pv]:
                 return False  # the entry edge of v is a bridge
-    return True
+    return timer == n  # the search from node 0 reached every node
 
 
 def delete_y(g: BipartiteMultigraph, ys: Iterable[int]) -> tuple[BipartiteMultigraph, tuple[int, ...], tuple[int, ...]]:

@@ -119,9 +119,8 @@ def _coloring_scan(
     for side, masks in (("X", xmask), ("Y", ymask)):
         for index, m in enumerate(masks):
             if ((m | (m - 1)) + 1) & m:  # set bits are not one run
-                adj = g.x_adj if side == "X" else g.y_adj  # built only when a gap shows
-                cols = tuple(sorted(coloring.colors[eid] for eid, _ in adj[index]))
-                return True, (Vertex(side, index), cols)
+                v = Vertex(side, index)  # adjacency is built only when a gap shows
+                return True, (v, tuple(vertex_colors(g, coloring, v)))
     return True, None
 
 
@@ -290,15 +289,11 @@ def factor_to_dict(factor: PathFactor) -> dict:
     return {"paths": paths}
 
 
-_SIDES = {"x": "X", "y": "Y"}
-
-
 def factor_from_dict(d: dict) -> PathFactor:
     """The factor a factor_to_dict() object describes. A label is looked up
-    in the shared vertex tables, sized first to the object's label count;
-    other plain labels and int edge ids are read directly, and anything
-    else goes through parse_vertex or _strict_int, which reject it with
-    their own messages."""
+    in the shared vertex tables, sized first to the object's label count,
+    and int edge ids are read directly; anything else goes through
+    parse_vertex or _strict_int, which reject it with their own messages."""
     paths = []
     labels = _LABELS
     try:
@@ -315,11 +310,6 @@ def factor_from_dict(d: dict) -> PathFactor:
                     v = labels.get(item)
                     if v is not None:
                         verts.append(v)
-                        continue
-                    side = _SIDES.get(item[:1])
-                    digits = item[1:]
-                    if side and digits.isascii() and digits.isdigit() and (digits[0] != "0" or len(digits) == 1):
-                        verts.append(Vertex(side, int(digits)))
                         continue
                 verts.append(parse_vertex(item))
             eids = seq[1::2]

@@ -3,7 +3,7 @@
 Subcommands: gen, factor, color, verify, hunt, export. All file formats
 are the JSON shapes defined in bigraph and checker; "-" means stdin or
 stdout. Exit codes: 0 success or verified, 1 definitive negative, 2
-unknown or bounded out, 3 input error.
+unknown or bounded out, 3 input error (bad usage included).
 """
 
 import argparse
@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import sys
+from typing import NoReturn
 
 from .bigraph import BipartiteMultigraph, from_json, to_dict, to_dot, to_json
 from .checker import (
@@ -294,8 +295,28 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 3, not argparse's 2, which here
+    means unknown or bounded out. Subparsers are built from this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="interval6",
         description="Interval 6-colorings of (3,4)-biregular bipartite multigraphs.",
     )
@@ -316,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="graph", required=True, help="graph JSON")
     p.add_argument("--method", default="search",
                    choices=["search", "via24", "transversal", "oracle"])
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
+    p.add_argument("--max-nodes", type=_count, default=10_000_000)
     p.add_argument("--out", help="factor JSON destination")
     p.set_defaults(func=cmd_factor)
 
@@ -339,10 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="search random instances for counterexamples")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
+    p.add_argument("--max-nodes", type=_count, default=10_000_000)
     p.add_argument("--archive", default="counterexamples",
                    help="directory for archived counterexample instances")
     p.set_defaults(func=cmd_hunt)

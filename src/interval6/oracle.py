@@ -7,9 +7,9 @@ the graph size and are only meant for small instances; they take no node
 budget. They run over node ids (Y-vertex j is node x_count + j) on
 explicit stacks, so no recursion depth grows with the input.
 
-The factor oracle is `search_proper_path_factor`'s own engine,
-`pathfactor._pair_search`, run without a cap, so it is no independent
-check of that search: `pathfactor.pivot_path_factor` is.
+The factor oracle is `pathfactor.search_proper_path_factor` run without
+a cap, so it is no independent check of that search:
+`pathfactor.pivot_path_factor` is.
 
 Each answer leaves through its `checker` finish, re-checked as the
 constructions' are. tests/test_oracle.py keeps the recursive originals
@@ -27,27 +27,16 @@ from .checker import (
     PathFactor,
     SubgraphCertificate,
     finish_coloring,
-    finish_factor,
     finish_subgraph,
-    node_path,
 )
-from .pathfactor import _pair_search
+from .pathfactor import search_proper_path_factor
 
 
 def oracle_path_factor(
     g: BipartiteMultigraph, lengths: tuple[int, ...] = FACTOR_LENGTHS
 ) -> PathFactor | None:
-    """Exhaustive proper path factor search by per-Y edge pairs, uncapped.
-
-    Runs `pathfactor._pair_search`, the engine of
-    `search_proper_path_factor`, with no node cap: the first factor in
-    its order, or None when none exists (see there for the search).
-    """
-    _, walks, _ = _pair_search(g, None, lengths)
-    if walks is None:
-        return None
-    factor = PathFactor(tuple(node_path(g.x_count, *w) for w in walks))
-    return finish_factor(g, factor, "path factor oracle")
+    """`search_proper_path_factor` uncapped: its first factor, or None if none exists."""
+    return search_proper_path_factor(g, None, lengths).factor
 
 
 def oracle_interval_coloring(g: BipartiteMultigraph, palette: int) -> EdgeColoring | None:

@@ -32,13 +32,12 @@ for the factor it returns; `p3_half_factor` wraps the same kernel.
 `search_proper_path_factor` and `search_full_3regular` are bounded
 exhaustive searches used when no structure is known. Neither recurses:
 `search_full_3regular` (like `find_y_cover`) runs the explicit-stack
-exact cover `_exact_cover`, and `search_proper_path_factor` runs
-`_pair_search`, which gives each Y-vertex 2 of its 4 edges on one
-explicit stack over integer node ids, counting one node per visit to a
-Y depth and stopping at the node past its cap. `oracle_path_factor` is
-the same engine without a cap. `pivot_path_factor`, which grows whole
-paths from pivot X-vertices, is the structurally different reference
-the two are cross-checked against.
+exact cover `_exact_cover`, and `search_proper_path_factor` gives each
+Y-vertex 2 of its 4 edges on one explicit stack over integer node ids,
+counting one node per visit to a Y depth and stopping at the node past
+its cap. `oracle_path_factor` is one uncapped call of it.
+`pivot_path_factor`, which grows whole paths from pivot X-vertices, is
+the structurally different reference the two are cross-checked against.
 """
 
 from __future__ import annotations
@@ -531,30 +530,29 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     return finish_factor(g, PathFactor(tuple(paths)), "via24 construction")
 
 
-Walk = tuple[list[int], list[int]]  # a path as (node ids, edge ids)
-
-
-def _pair_search(
-    g: BipartiteMultigraph, max_nodes: int | None, lengths: tuple[int, ...]
-) -> tuple[str, list[Walk] | None, int]:
-    """Exhaustive proper path factor search by per-Y edge pairs.
+def search_proper_path_factor(
+    g: BipartiteMultigraph,
+    max_nodes: int | None = 10_000_000,
+    lengths: tuple[int, ...] = FACTOR_LENGTHS,
+) -> SearchResult:
+    """Bounded exhaustive proper path factor search by per-Y edge pairs.
 
     In any proper path factor every Y-vertex is interior, hence keeps
-    exactly 2 of its 4 edges. The search assigns those pairs Y by Y,
-    in `combinations` order on an explicit stack (no recursion), each
-    pair as (e1, e2, x1, x2) with its X-ends (none sharing one). The
-    assignment lives in `tried`: Y-vertex j holds pair `tried[j] - 1`.
-    Each X-vertex at a path end holds the path's other end and its length
-    (an uncovered one is its own end, at length 0), so a pair that would
-    make an X-vertex's third edge, close a cycle or merge a path longer
-    than the longest allowed is skipped at once, and undoing a pair
-    restores four entries.
+    exactly 2 of its 4 edges. The search assigns those pairs Y by Y, in
+    `combinations` order on an explicit stack (no recursion), each pair
+    as (e1, e2, x1, x2) with its X-ends (none sharing one). Each X-vertex
+    at a path end holds the path's other end and its length (an uncovered
+    one is its own end, at length 0), so a pair that would make an
+    X-vertex's third edge, close a cycle or merge a path longer than the
+    longest allowed is skipped at once.
 
     An X-vertex is final once its highest-index Y-neighbour holds a
     pair: its path can no longer grow there. A pair that leaves a final
     X-vertex uncovered, or a path of disallowed length between two final
     ends, is undone before the search goes deeper, so every complete
-    assignment it reaches is a factor and the first one is returned.
+    assignment it reaches is a factor. The first one is returned, its
+    paths walked by `bigraph._split`, each from its smaller X-end, in
+    the order of those ends.
 
     A factor of a graph with |X| = 4k has k paths holding all 6k edges,
     so c_l paths of length l give c_8 = 2·c_2 + c_4 and
@@ -563,17 +561,16 @@ def _pair_search(
     3·c_2 + 2·c_4 = k), the answer is "none" at 0 nodes.
 
     Counts one node per visit to a search depth: a Y index, or the leaf
-    past the last one. The node past `max_nodes` (None: no cap) ends the
-    search as "unknown". Returns (status, walks, nodes); on "found" the
-    walks are the factor's paths as `bigraph._split` walks them, each from
-    its smaller X-end, in the order of those ends, and otherwise None.
+    past the last one (so 3k Y-vertices take at least 3k + 1 nodes to a
+    factor). The node past `max_nodes` (None: no cap) ends the search as
+    "unknown", with `nodes == max_nodes + 1`.
     """
     k = biregular34_k(g)
     allowed = _length_set(lengths)
     if k and 6 not in allowed and not (8 in allowed and any(
             (k - 3 * c2) % 2 == 0 and (k == 3 * c2 or 4 in allowed)
             for c2 in range(k // 3 + 1 if 2 in allowed else 1))):
-        return "none", None, 0  # no k allowed lengths sum to 6k
+        return SearchResult("none", None, 0)  # no k allowed lengths sum to 6k
     longest = max(allowed)
     cap = math.inf if max_nodes is None else max_nodes
 
@@ -600,12 +597,12 @@ def _pair_search(
     while j >= 0:
         nodes += 1
         if nodes > cap:
-            return "unknown", None, nodes
+            return SearchResult("unknown", None, nodes)
         if j == ny:
             chosen = sorted(e for pj, t in zip(pairs, tried) for e in pj[t - 1][:2])
-            walks = _split(n, n + ny, g.edges, chosen)[1]
-            walks.sort()  # by first node: each path's smaller X-end
-            return "found", walks, nodes
+            walks = sorted(_split(n, n + ny, g.edges, chosen)[1])  # by each path's smaller X-end
+            factor = PathFactor(tuple(node_path(n, *w) for w in walks))
+            return SearchResult("found", finish_factor(g, factor, "factor search"), nodes)
         pj = pairs[j]
         t = tried[j]
         if t:  # undo the previous try: x2 and then x1 is a path end again
@@ -641,28 +638,8 @@ def _pair_search(
                 break  # a final X-vertex is uncovered, or closes a path of disallowed length
         else:
             j += 1
-    return "none", None, nodes
+    return SearchResult("none", None, nodes)
 
-
-def search_proper_path_factor(
-    g: BipartiteMultigraph,
-    max_nodes: int | None = 10_000_000,
-    lengths: tuple[int, ...] = FACTOR_LENGTHS,
-) -> SearchResult:
-    """Bounded exhaustive factor search by per-Y edge pairs (`_pair_search`).
-
-    Counts one node per visit to a Y depth, the leaf included, so a
-    graph with 3k Y-vertices needs at least 3k + 1 nodes to a factor.
-    `max_nodes` bounds that count (None: no cap); the node past it ends
-    the search with status "unknown" (and `nodes == max_nodes + 1`),
-    which is distinct from the definitive "none". A length set that no
-    k paths can use to hold all 6k edges is "none" at 0 nodes.
-    """
-    status, walks, nodes = _pair_search(g, max_nodes, lengths)
-    if walks is None:
-        return SearchResult(status, None, nodes)
-    factor = PathFactor(tuple(node_path(g.x_count, *w) for w in walks))
-    return SearchResult(status, finish_factor(g, factor, "factor search"), nodes)
 
 
 _PIVOT, _RIGHT, _LEFT = "pivot", "right", "left"  # search steps
@@ -677,7 +654,7 @@ def pivot_path_factor(
 
     The structurally different reference for `search_proper_path_factor`
     (which `hunt` uses to confirm a "none"): it shares no search code
-    with `_pair_search`, and takes the same arguments and returns the
+    with it, and takes the same arguments and returns the
     same `SearchResult` contract, with its own node count.
 
     Repeatedly picks the lowest uncovered X-vertex as the pivot of a new

@@ -248,6 +248,11 @@ def test_two_edge_connected_examples():
     assert is_two_edge_connected(k34())
     assert not is_two_edge_connected(claw_triple_graph())  # x0's edges are bridges
     assert not is_two_edge_connected(build(2, 2, [(0, 0), (1, 1)]))  # disconnected
+    assert is_two_edge_connected(build(1, 0, []))  # one vertex, no edge
+    assert is_two_edge_connected(build(0, 1, []))
+    assert not is_two_edge_connected(build(0, 0, []))  # no vertex
+    assert not is_two_edge_connected(build(2, 0, []))  # two isolated vertices
+    assert not is_two_edge_connected(build(1, 1, []))
 
 
 def test_two_edge_connected_matches_brute_force():

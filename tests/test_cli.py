@@ -536,3 +536,34 @@ def test_verify_rejects_malformed_vertex_labels(capsys, tmp_path):
         bpath.write_text(json.dumps(broken))
         code, out, err = run(capsys, "verify", "--in", str(gpath), "--factor", str(bpath))
         assert code == 3 and "bad vertex label" in err and out == ""
+
+
+def test_usage_errors_are_input_errors(capsys, tmp_path):
+    gpath = gen_file(capsys, tmp_path, "random", "--k", "2", "--seed", "1")
+    for args in (("factor", "--in", str(gpath), "--max-nodes", "abc"),
+                 ("factor",),
+                 ("bogus",),
+                 ("hunt", "--k", "2")):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (3, ""), args
+        assert "error: " in err and "usage: interval6" in err, args
+    for args in (("--help",), ("factor", "--help"), ("hunt", "--help")):
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out.startswith("usage: interval6"), args
+
+
+def test_negative_counts_are_rejected(capsys, tmp_path):
+    gpath = gen_file(capsys, tmp_path, "random", "--k", "2", "--seed", "1")
+    hunt = ("hunt", "--k", "2", "--archive", str(tmp_path / "hits"))
+    for args in [("factor", "--in", str(gpath), "--method", m, "--max-nodes", "-3")
+                 for m in ("search", "via24", "transversal", "oracle")] + [
+            hunt + ("--trials", "3", "--max-nodes", "-1"), hunt + ("--trials", "-5")]:
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (3, ""), args
+        assert "expected a non-negative integer, got '-" in err, args
+    assert not (tmp_path / "hits").exists()
+    # zero stays a valid cap and trial count
+    code, out, _ = run(capsys, "factor", "--in", str(gpath), "--max-nodes", "0")
+    assert (code, json.loads(out)) == (2, {"method": "search", "status": "unknown", "reason": "budget", "nodes": 1})
+    code, out, _ = run(capsys, *hunt, "--trials", "0")
+    assert code == 0 and json.loads(out)["trials"] == 0

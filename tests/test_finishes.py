@@ -138,8 +138,8 @@ def ones_and_sixes_swapped(colors, palette):
     (lambda mp: mp.setattr(transversal, "Path", backwards_path),
      lambda: transversal.factor_from_mixed_transversal(K43, pathfactor.search_full_3regular(K43)),
      "transversal construction failed: path 0: "),
-    (lambda mp: mp.setattr(oracle, "node_path", backwards_walk),
-     lambda: oracle.oracle_path_factor(K43), "path factor oracle failed: path 0: "),
+    (lambda mp: mp.setattr(pathfactor, "node_path", backwards_walk),
+     lambda: oracle.oracle_path_factor(K43), "factor search failed: path 0: "),
     (lambda mp: mp.setattr(pathfactor, "node_path", backwards_walk),
      lambda: pathfactor.search_proper_path_factor(K43), "factor search failed: path 0: "),
     (lambda mp: mp.setitem(CLAW.__dict__, "x_adj", CLAW_AT_X3.x_adj),

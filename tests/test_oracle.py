@@ -1,8 +1,10 @@
 """The explicit-stack oracles against their recursive originals and the pivot search."""
 
+import ast
 import random
 import time
 from itertools import combinations
+from pathlib import Path as FilePath
 
 from helpers import disjoint_k43, random_24_biregular, recursion_limit
 
@@ -317,3 +319,16 @@ def test_path_oracle_does_not_recurse():
     assert got is not None and check_proper_path_factor(g, got)
     assert [p.length for p in got.paths] == [6] * 400
     assert oracle_path_factor(disjoint_k43(3)) == oracle_path_factor_recursive(disjoint_k43(3))
+
+
+def test_oracle_reaches_no_private_pathfactor_name():
+    """The oracle calls `pathfactor` through its public surface only."""
+    source = FilePath(__file__).resolve().parent.parent / "src" / "interval6" / "oracle.py"
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module in ("pathfactor", "interval6.pathfactor")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

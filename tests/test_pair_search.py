@@ -1,8 +1,8 @@
 """The per-Y factor search against the pivot search, its budget and its count rule.
 
-`search_proper_path_factor` runs `_pair_search`, the engine that
-`oracle_path_factor` also runs (uncapped), so the structurally different
-`pivot_path_factor` is the reference it is checked against here.
+`oracle_path_factor` is `search_proper_path_factor` run uncapped, so the
+structurally different `pivot_path_factor` is the reference the search
+is checked against here.
 """
 
 import hashlib
