@@ -345,33 +345,28 @@ def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex]) -> lis
     # Hierholzer's walk: a node leaves by its first unused edge in `adj`
     # order, and an edge id is written when the walk backs out of it
     used = bytearray(g.edge_count)
-    ptr = [0] * len(adj)  # per node: where its scan for an unused edge resumes
+    untried = [iter(a) for a in adj]  # per node: the edges its scans have not passed
     stack = [carriers[0]]  # the open walk; entries[i] led to stack[i + 1]
     entries: list[int] = []
     rev: list[int] = []
     v = carriers[0]
     while True:
-        a = adj[v]
-        p = ptr[v]
-        d = len(a)
-        while p < d and used[a[p][0]]:
-            p += 1
-        if p < d:
-            eid, w = a[p]
-            ptr[v] = p + 1
-            used[eid] = 1
-            if not inside[w]:
-                raise ValueError(f"edge leaves the given component at {node_vertex(n, w).label}")
-            stack.append(w)
-            entries.append(eid)
-            v = w
+        for eid, w in untried[v]:
+            if not used[eid]:
+                break
         else:
-            ptr[v] = p
             stack.pop()
             if not entries:
                 break
             rev.append(entries.pop())
             v = stack[-1]
+            continue
+        used[eid] = 1
+        if not inside[w]:
+            raise ValueError(f"edge leaves the given component at {node_vertex(n, w).label}")
+        stack.append(w)
+        entries.append(eid)
+        v = w
     if len(rev) != sum(len(adj[u]) for u in carriers) // 2:
         raise ValueError("component argument is not connected")
     rev.reverse()
@@ -384,39 +379,31 @@ def is_two_edge_connected(g: BipartiteMultigraph) -> bool:
     if n == 0:
         return False
     adj = g.node_adj
-    disc = [-1] * n
+    disc = [0] + [-1] * (n - 1)  # discovery times; the search starts at node 0
     low = [0] * n
-    timer = 0
-    # iterative DFS over node ids; skip only the edge id we arrived by, so
-    # a parallel companion still gives a back edge
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]
+    timer = 1
+    # iterative DFS over node ids, one (node, entry edge, untried edges)
+    # frame per depth; skip only the edge id we arrived by, so a parallel
+    # companion still gives a back edge
+    stack = [(0, -1, iter(adj[0]))]
     while stack:
-        v, pedge, i = stack.pop()
-        if i == 0:
-            disc[v] = low[v] = timer
-            timer += 1
-        advanced = False
-        lst = adj[v]
-        while i < len(lst):
-            eid, w = lst[i]
+        v, pedge, edges = stack[-1]
+        for eid, w in edges:
             if eid == pedge:
-                i += 1
                 continue
             if disc[w] == -1:
-                stack.append((v, pedge, i + 1))
-                stack.append((w, eid, 0))
-                advanced = True
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, eid, iter(adj[w])))
                 break
             low[v] = min(low[v], disc[w])
-            i += 1
-        if advanced:
-            continue
-        # v is finished; fold into parent if any
-        if stack:
-            pv = stack[-1][0]
-            low[pv] = min(low[pv], low[v])
-            if low[v] > disc[pv]:
-                return False  # the entry edge of v is a bridge
+        else:  # v is finished; fold into parent if any
+            stack.pop()
+            if stack:
+                pv = stack[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] > disc[pv]:
+                    return False  # the entry edge of v is a bridge
     return timer == n  # the search from node 0 reached every node
 
 

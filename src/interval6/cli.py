@@ -3,7 +3,7 @@
 Subcommands: gen, factor, color, verify, hunt, export. All file formats
 are the JSON shapes defined in bigraph and checker; "-" means stdin or
 stdout. Exit codes: 0 success or verified, 1 definitive negative, 2
-unknown or bounded out, 3 input error (bad usage included).
+unknown, bounded out or out of memory, 3 input error (bad usage too).
 """
 
 import argparse
@@ -65,9 +65,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _fail(msg: str) -> "SystemExit":
+def _fail(msg: str, code: int = EXIT_INPUT) -> "SystemExit":
     print(f"error: {msg}", file=sys.stderr)
-    return SystemExit(EXIT_INPUT)
+    return SystemExit(code)
 
 
 def _load_graph(path: str) -> BipartiteMultigraph:
@@ -304,15 +304,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    """A non-negative integer option value."""
+def _count(text: str, least: int = 0) -> int:
+    """An integer option value of at least `least`: by default a non-negative one."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
+
+
+def _positive(text: str) -> int:
+    """A positive integer option value."""
+    return _count(text, 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--max-nodes", type=_count, default=10_000_000)
     p.add_argument("--archive", default="counterexamples",
                    help="directory for archived counterexample instances")
@@ -387,6 +393,8 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except ValueError as exc:
         raise _fail(str(exc)) from None
+    except MemoryError:  # a crash decides nothing, so it must not read as a negative
+        raise _fail("out of memory", EXIT_UNKNOWN) from None
 
 
 if __name__ == "__main__":

@@ -398,41 +398,33 @@ def find_mixed_transversal(f: FGraph, ts: TripleSystem) -> MixedTransversal | No
 def _kuhn_round(xs: list[int], rem: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
     """Matching (x -> chosen edge id) saturating `xs`, by augmenting paths.
 
-    Each x in turn runs a depth-first search for an augmenting path,
-    trying its (edge id, y) options in `rem` order, on an explicit stack
-    (no recursion, so path length sets no depth limit). When some x has
-    no augmenting path, no matching saturates `xs` (its symmetric
-    difference with a saturating one would hold such a path), so the
-    partial matching is returned at once.
+    Each x in turn, even one whose first option is free, runs a
+    depth-first search for an augmenting path over its (edge id, y)
+    options in `rem` order, on an explicit stack (no recursion, so path
+    length sets no depth limit). When some x has none, no matching
+    saturates `xs` (its symmetric difference with a saturating one would
+    hold such a path), so the partial matching is returned at once.
     """
     owner: dict[int, int] = {}  # matched y -> its x
     pair_x: dict[int, int] = {}
     for root in xs:
-        opts = rem[root]
-        if opts and opts[0][1] not in owner:  # the search would take it at once; most roots do
-            eid, y = opts[0]
-            owner[y] = root
-            pair_x[root] = eid
-            continue
         banned: set[int] = set()
-        stack = [[root, 0]]  # per depth: x, and its next option (one past the last taken)
+        stack = [[root, iter(rem[root]), None]]  # per depth: x, its untried options, the one taken
         while stack:
-            frame = stack[-1]
-            x, pos = frame
-            opts = rem[x]
-            while pos < len(opts) and opts[pos][1] in banned:
-                pos += 1
-            if pos == len(opts):
+            for opt in stack[-1][1]:
+                if opt[1] not in banned:
+                    break
+            else:
                 stack.pop()
                 continue
-            frame[1] = pos + 1
-            y = opts[pos][1]
+            stack[-1][2] = opt
+            y = opt[1]
             banned.add(y)
             if y in owner:
-                stack.append([owner[y], 0])
+                x = owner[y]
+                stack.append([x, iter(rem[x]), None])
                 continue
-            for x, pos in stack:  # augment: each x on the path takes the option it last took
-                eid, y = rem[x][pos - 1]
+            for x, _, (eid, y) in stack:  # augment: each x on the path takes the option it took
                 owner[y] = x
                 pair_x[x] = eid
             break

@@ -273,6 +273,23 @@ def test_two_edge_connected_matches_brute_force():
         assert is_two_edge_connected(g) == brute_force_two_edge_connected(g)
 
 
+def long_cycle(n):
+    """One even cycle of 2n edges: X-vertex i is joined to Y-vertices i and (i + 1) mod n."""
+    return build(n, n, [(i, (i + d) % n) for i in range(n) for d in (0, 1)])
+
+
+def test_walks_on_a_deep_cycle():
+    # 20,000 edges in one cycle: the bridge search and the Euler walk each
+    # reach that depth on their explicit stacks
+    g = long_cycle(10_000)
+    assert is_two_edge_connected(g)
+    for drop in (0, 1, 9_999, 10_000, 19_999):  # every edge of the path left behind is a bridge
+        rest = build(g.x_count, g.y_count, g.edges[:drop] + g.edges[drop + 1:])
+        assert not is_two_edge_connected(rest), drop
+    circ = eulerian_circuit(g, g.vertices())
+    assert walk_is_circuit(g, circ, range(g.edge_count))
+
+
 def test_delete_y_maps_back():
     g = k34()
     h, edge_map, y_map = delete_y(g, [1])

@@ -561,9 +561,25 @@ def test_negative_counts_are_rejected(capsys, tmp_path):
         code, out, err = run(capsys, *args)
         assert (code, out) == (3, ""), args
         assert "expected a non-negative integer, got '-" in err, args
+    for jobs in ("0", "-3"):  # a worker count must be positive
+        code, out, err = run(capsys, *hunt, "--trials", "2", "--jobs", jobs)
+        assert (code, out) == (3, ""), jobs
+        assert f"expected a positive integer, got '{jobs}'" in err, jobs
     assert not (tmp_path / "hits").exists()
     # zero stays a valid cap and trial count
     code, out, _ = run(capsys, "factor", "--in", str(gpath), "--max-nodes", "0")
     assert (code, json.loads(out)) == (2, {"method": "search", "status": "unknown", "reason": "budget", "nodes": 1})
     code, out, _ = run(capsys, *hunt, "--trials", "0")
     assert code == 0 and json.loads(out)["trials"] == 0
+
+
+def test_out_of_memory_exits_unknown(capsys, tmp_path, monkeypatch):
+    # a crash must not read as a definitive negative (exit 1)
+    gpath = gen_file(capsys, tmp_path, "subset6")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "search_proper_path_factor", no_memory)
+    code, out, err = run(capsys, "factor", "--in", str(gpath))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
