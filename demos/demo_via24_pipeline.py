@@ -8,7 +8,7 @@ machinery stitches length-2 pieces into a factor of length-6 paths.
 """
 
 from interval6.bigraph import biregular34_k, delete_y, is_biregular
-from interval6.checker import check_proper_path_factor
+from interval6.checker import check_proper_path_factor, node_path
 from interval6.generators import random_34_biregular
 from interval6.pathfactor import find_y_cover, p3_half_factor, p7_factor_via_24
 
@@ -32,9 +32,12 @@ for j in cover:
 h, _, _ = delete_y(g, cover)
 print("peeled graph is (2,4)-biregular:", is_biregular(h, 2, 4))
 
-half = p3_half_factor(h)
-print(f"half factor: {len(half.paths)} length-2 pieces, for example:")
-for p in half.paths[:3]:
+# per Y-vertex of h, its two edge ids in one Euler parity class
+pairs = p3_half_factor(h.x_count, h.y_count, h.edges, 0)
+print(f"half factor: {len(pairs)} length-2 pieces, for example:")
+n = h.x_count
+for y, (e1, e2) in enumerate(pairs[:3]):
+    p = node_path(n, (h.edges[e1][0], n + y, h.edges[e2][0]), (e1, e2))
     print(" ", " ".join(v.label for v in p.vertices))
 
 factor = p7_factor_via_24(g)

@@ -42,15 +42,11 @@ from .oracle import (
 )
 from .pathfactor import (
     SearchResult,
-    build_pgraph,
-    build_q,
     find_y_cover,
-    p3_half_factor,
     p7_factor_via_24,
     pivot_path_factor,
     search_full_3regular,
     search_proper_path_factor,
-    two_color_pgraph,
 )
 from .transversal import (
     FGraph,
@@ -95,10 +91,6 @@ __all__ = [
     "oracle_path_factor",
     "oracle_interval_coloring",
     "oracle_full_3regular",
-    "build_q",
-    "build_pgraph",
-    "two_color_pgraph",
-    "p3_half_factor",
     "find_y_cover",
     "p7_factor_via_24",
     "search_proper_path_factor",

@@ -205,7 +205,7 @@ def is_simple(g: BipartiteMultigraph) -> bool:
     return len(set(g.edges)) == len(g.edges)
 
 
-def _node_components(adj: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
+def components(adj: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
     """Connected components of a node-id adjacency, as sorted node lists.
 
     `adj[u]` lists (edge id, other end) pairs, as in
@@ -310,32 +310,21 @@ def _split(
     return cycles, paths
 
 
-def components(g: BipartiteMultigraph) -> list[list[Vertex]]:
-    """Connected components as sorted vertex lists, ordered by smallest vertex.
-
-    Isolated vertices form their own singleton components. X-vertices sort
-    before Y-vertices, so the ordering is deterministic.
-    """
-    n = g.x_count
-    return [[node_vertex(n, v) for v in comp] for comp in _node_components(g.node_adj)]
-
-
-def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[Vertex]) -> list[int]:
+def eulerian_circuit(g: BipartiteMultigraph, component: Iterable[int]) -> list[int]:
     """Closed walk through every edge of one component, as edge ids.
 
-    `component` must be one connected component (as produced by
-    components()); every vertex in it must have even degree, otherwise a
-    ValueError names an offending vertex. The walk begins at the lowest
-    vertex that has edges and always leaves along the lowest unused edge
-    id, so the circuit is deterministic.
+    `component` must be the node ids of one connected component (as
+    `components(g.node_adj)` lists them); every vertex in it must have
+    even degree, otherwise a ValueError names an offending vertex. The
+    walk begins at the lowest vertex that has edges and always leaves
+    along the lowest unused edge id, so the circuit is deterministic.
     """
     n = g.x_count
     adj = g.node_adj
-    verts = sorted(set(component))  # vertex order is node order
-    nodes = [v.index if v.side == "X" else n + v.index for v in verts]
-    for v, u in zip(verts, nodes):
+    nodes = sorted(set(component))
+    for u in nodes:
         if len(adj[u]) % 2:
-            raise ValueError(f"vertex {v.label} has odd degree {len(adj[u])}")
+            raise ValueError(f"vertex {node_vertex(n, u).label} has odd degree {len(adj[u])}")
     carriers = [u for u in nodes if adj[u]]
     if not carriers:
         return []

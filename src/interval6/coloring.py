@@ -11,11 +11,11 @@ factor endpoints {2,3,4} or {3,4,5}, and Y-vertices one of {1,2,3,4},
 {2,3,4,5}, {3,4,5,6}.
 
 The construction runs on the node-id kernels of `pathfactor`: the
-leftover split (`_leftover`, which also checks the graph and the factor,
+leftover split (`build_q`, which also checks the graph and the factor,
 and walks each cycle and path with `bigraph._split`), the link graph
-over X ids (`_link_graph`) and its breadth-first 2-coloring into a side
-array (`_two_color`). Colors are written straight into one list, and no
-`Vertex` or `Path` object is built. It double-checks its own output
+over X ids (`build_pgraph`) and its breadth-first 2-coloring into a side
+array (`two_color_pgraph`). Colors are written straight into one list,
+and no `Vertex` or `Path` object is built. It double-checks its own output
 (every edge colored, factor edges in {1, 2, 5, 6} and leftover edges in
 {3, 4}, then the interval property through `checker.finish_coloring`)
 and raises InvariantError rather than return a bad coloring.
@@ -32,7 +32,7 @@ from .checker import (
     vertex_colors,
 )
 from .errors import InvariantError
-from .pathfactor import _leftover, _link_graph, _two_color
+from .pathfactor import build_pgraph, build_q, two_color_pgraph
 
 PALETTE = 6
 FACTOR_COLORS = frozenset({1, 2, 5, 6})
@@ -64,10 +64,9 @@ _COLOR_KIND = bytes(1 if c in FACTOR_COLORS else 0 if c in LEFTOVER_COLORS else 
 
 def color_from_factor(g: BipartiteMultigraph, factor: PathFactor) -> EdgeColoring:
     """Interval 6-coloring built from a proper path factor."""
-    on_factor, cycles, q_paths = _leftover(g, factor)  # also checks the graph and the factor
-    inner, links = _link_graph(g.x_count, factor, q_paths)
-    side = [0] * g.x_count  # link-graph side per X id: 1 for A, 2 for B
-    _two_color(inner, links, side)
+    on_factor, cycles, q_paths = build_q(g, factor)  # also checks the graph and the factor
+    inner, links = build_pgraph(g.x_count, factor, q_paths)
+    side = two_color_pgraph(g.x_count, inner, links)  # link-graph side per X id: 1 for A, 2 for B
 
     colors = [0] * len(g.edges)
 

@@ -4,14 +4,15 @@ Two halves live here. The first half dissects a factor of a
 (3,4)-biregular graph: the leftover subgraph (everything off the factor),
 the link graph over the factor's interior X-vertices, and the proper
 2-coloring of that link graph. Those three objects are exactly what the
-coloring construction consumes, and each comes from one node-id kernel.
-`_leftover` splits the off-factor edges into cycles and paths of node and
+coloring construction consumes, and each comes from one function over
+node ids (X-vertex i is node i, Y-vertex j is node x_count + j).
+`build_q` splits the off-factor edges into cycles and paths of node and
 edge ids through `bigraph._split`, the one walk for every edge set of
-degrees 1 and 2. `_link_graph` builds the link graph over X ids and checks
-its degrees as array counts, and `_two_color` colors it breadth first into
-a side array. `coloring.color_from_factor` calls the kernels directly;
-`build_q`, `build_pgraph` and `two_color_pgraph` wrap them and build
-`Vertex`, `Path` and `PEdge` objects only for what they return.
+degrees 1 and 2. `build_pgraph` builds the link graph over X ids and
+checks its degrees as array counts, and `two_color_pgraph` colors it
+breadth first into a side array. `coloring.color_from_factor` calls the
+three in turn. None of them builds a `Path`, and `Vertex` objects
+appear only in error messages.
 
 The second half finds factors. `p7_factor_via_24` is the constructive
 route: peel off a set of Y-vertices whose neighborhoods exactly cover X,
@@ -21,13 +22,13 @@ peeled vertices into length-6 paths. It runs once, with no retries: a
 parity class of an Euler circuit gives every degree-2 vertex degree 1,
 so the two paths a peeled vertex joins are always distinct.
 
-Both half factors come from one linear kernel, `_half_pairs`: Hierholzer's
-walk over every component of a (2,4)-biregular edge list, stepping from
-Y-vertex to Y-vertex (an X-vertex has degree 2, so the edge it is left by
-is forced) with one shared used/pointer array, returning each Y-centre's
-two edges. `p7_factor_via_24` peels the cover in one pass over
-`g.edges` and builds `Path` objects, over the shared `Vertex` tables, only
-for the factor it returns; `p3_half_factor` wraps the same kernel.
+Both half factors come from one linear kernel, `p3_half_factor`:
+Hierholzer's walk over every component of a (2,4)-biregular edge list,
+stepping from Y-vertex to Y-vertex (an X-vertex has degree 2, so the
+edge it is left by is forced) with one shared used/pointer array,
+returning each Y-centre's two edges. `p7_factor_via_24` peels the cover
+in one pass over `g.edges` and builds `Path` objects, over the shared
+`Vertex` tables, only for the factor it returns.
 
 `search_proper_path_factor` and `search_full_3regular` are bounded
 exhaustive searches used when no structure is known. Neither recurses:
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, compress
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bigraph import (
     BipartiteMultigraph,
@@ -54,8 +55,6 @@ from .bigraph import (
     biregular34_k,
     node_vertex,
     vertex_tables,
-    xv,
-    yv,
 )
 from .checker import (
     FACTOR_LENGTHS,
@@ -69,53 +68,6 @@ from .checker import (
     path_factor_violation,
 )
 from .errors import BudgetExceeded, InvariantError
-
-
-@dataclass(frozen=True)
-class QDecomposition:
-    """The subgraph left after removing a factor's edges.
-
-    Against a valid factor every Y-vertex keeps degree 2 and every
-    X-vertex keeps degree 1 (factor-interior) or 2 (factor-endpoint), so
-    the leftover splits into even cycles and paths whose two endpoints
-    are factor-interior X-vertices.
-    """
-
-    cycles: tuple[tuple[int, ...], ...]  # edge ids in cyclic walk order
-    paths: tuple[Path, ...]
-
-
-class PEdge(NamedTuple):
-    u: int  # X-side vertex index
-    v: int
-    kind: str  # "a": same length-6 path; "b": distance 4 in a length-8 path; "c": leftover path ends
-
-
-@dataclass(frozen=True)
-class PGraph:
-    """Link graph over the factor-interior X-vertices.
-
-    Vertices are the X-vertices of degree 2 on the factor. Kind (a) and
-    (b) edges tie together interior vertices of one factor path; kind (c)
-    edges tie the two ends of each leftover path. Every vertex carries
-    exactly one (c) edge and at most one (a)/(b) edge, so components
-    alternate edge kinds and the graph is bipartite.
-    """
-
-    vertices: tuple[int, ...]
-    edges: tuple[PEdge, ...]
-
-
-@dataclass(frozen=True)
-class HalfFactor:
-    """Half of a (2,4)-biregular graph: X-degrees 1, Y-degrees 2.
-
-    Components are length-2 paths centered on Y-vertices; `paths` lists
-    them sorted by center, each written with ascending X-endpoints.
-    """
-
-    edge_set: frozenset[int]
-    paths: tuple[Path, ...]
 
 
 @dataclass(frozen=True)
@@ -134,14 +86,20 @@ def _factor_or_raise(g: BipartiteMultigraph, factor: PathFactor) -> None:
 _FLIP = bytes([1, 0]) + bytes(254)  # bytes.translate table: flag 0 <-> 1
 
 
-def _leftover(
+def build_q(
     g: BipartiteMultigraph, factor: PathFactor
 ) -> tuple[bytearray, list[list[int]], list[tuple[list[int], list[int]]]]:
-    """The leftover split on node ids: (on_factor, cycles, paths).
+    """The leftover subgraph Q of a factor, split on node ids: (on_factor, cycles, paths).
 
     Checks the graph and the factor first. `on_factor` flags the factor's
-    edge ids; the other edges go through `bigraph._split`, and a leftover
-    path must join two X-vertices.
+    edge ids; the other edges go through `bigraph._split`. Against a
+    proper factor every Y-vertex keeps degree 2 and every X-vertex degree
+    1 (factor-interior) or 2 (factor-endpoint), so Q splits into even
+    cycles, each its edge ids, and paths between factor-interior
+    X-vertices, each its (node ids, edge ids); a path with a Y-end raises
+    InvariantError. Components come in order of their smallest vertex; a
+    cycle is walked from its smallest vertex along its lower edge id, and
+    a path from its smaller end.
     """
     biregular34_k(g)
     _factor_or_raise(g, factor)
@@ -159,26 +117,19 @@ def _leftover(
     return on_factor, cycles, paths
 
 
-def build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
-    """Split the off-factor edges into even cycles and X-to-X paths.
-
-    Components come in order of their smallest vertex; a cycle is walked
-    from its smallest vertex along its lower edge id, and a path from its
-    smaller endpoint.
-    """
-    _, cycles, paths = _leftover(g, factor)
-    return QDecomposition(tuple(map(tuple, cycles)), tuple(node_path(g.x_count, *p) for p in paths))
-
-
-def _link_graph(
+def build_pgraph(
     x_count: int, factor: PathFactor, q_paths: list[tuple[list[int], list[int]]]
 ) -> tuple[list[int], list[tuple[int, int, str]]]:
-    """The link graph of `factor` as (sorted interior X ids, (u, v, kind) edges); see PGraph.
+    """The link graph P of `factor` as (sorted interior X ids, (u, v, kind) edges).
 
-    `q_paths` are the leftover paths as `_leftover` gives them. Raises
-    InvariantError when a link edge touches a vertex that is not
-    factor-interior, or a vertex's (c)-degree is not 1 or its (a)+(b)-degree
-    is above 1.
+    Its vertices are the X-vertices of degree 2 on the factor. A kind "a"
+    edge joins the two interior X-vertices of a length-6 path, a kind "b"
+    edge the first and third of a length-8 path (distance 4), and a kind
+    "c" edge the two ends of each leftover path in `q_paths` (as
+    `build_q` gives them). Every vertex carries exactly one (c) edge and
+    at most one (a)/(b) edge, so components alternate edge kinds and P is
+    bipartite; InvariantError when a link edge touches a vertex that is
+    not factor-interior, or a vertex's degrees break that rule.
     """
     inner: list[int] = []
     links: list[tuple[int, int, str]] = []
@@ -212,16 +163,14 @@ def _link_graph(
     return inner, links
 
 
-def _two_color(
-    vertices: Sequence[int], links: Iterable[tuple[int, int, str]], side: list[int] | dict[int, int]
-) -> None:
-    """Proper 2-coloring of a link graph, written into `side` (1 for A, 2 for B).
+def two_color_pgraph(x_count: int, vertices: Sequence[int], links: Iterable[tuple[int, int, str]]) -> list[int]:
+    """Proper 2-coloring of a link graph as a side per X id: 1 for A, 2 for B, 0 off the graph.
 
-    `side[u]` is 0 for every vertex before the call; `side` may be a list
-    over X ids or a dict over `vertices`. Breadth first from each
-    uncolored vertex in `vertices` order, which gets A; a bipartite
-    component has exactly one such coloring.
+    Breadth first from each uncolored vertex in `vertices` order, which
+    gets A; a bipartite component has exactly one such coloring. A link
+    end outside `vertices` raises KeyError, an odd cycle InvariantError.
     """
+    side = [0] * x_count
     adj: dict[int, list[int]] = {u: [] for u in vertices}
     for u, v, _ in links:
         adj[u].append(v)
@@ -238,41 +187,32 @@ def _two_color(
                     queue.append(w)
                 elif side[w] == side[u]:
                     raise InvariantError(f"odd cycle in link graph at x{u}, x{w}")
+    return side
 
 
-def build_pgraph(g: BipartiteMultigraph, factor: PathFactor) -> PGraph:
-    """Link graph of a factor; see PGraph. Computes the leftover split itself."""
-    _, _, q_paths = _leftover(g, factor)
-    inner, links = _link_graph(g.x_count, factor, q_paths)
-    return PGraph(tuple(inner), tuple(PEdge(*e) for e in links))
+def p3_half_factor(x_count: int, y_count: int, edges: Sequence[tuple[int, int]], parity: int) -> list[tuple[int, int]]:
+    """A half factor of a (2,4)-biregular graph: per Y-vertex, its two edge ids, lower X-end first.
 
+    `edges` lists the graph's (x, y) pairs by edge id, and the half factor
+    is parity class `parity` (0 or 1) of per-component Euler circuits.
+    The graph is bipartite, so each circuit has even length and every
+    visit to a vertex enters at one parity and leaves at the other: a
+    class gives every X-vertex degree 1 and every Y-vertex degree 2, i.e.
+    length-2 paths centred on the Y-vertices, with distinct ends, and the
+    two classes partition the edges.
 
-def two_color_pgraph(pg: PGraph) -> dict[int, str]:
-    """Proper 2-coloring of the link graph, X-vertex index -> "A" | "B".
-
-    Breadth first from the lowest uncolored vertex, which gets A; a
-    bipartite component has exactly one such coloring.
+    Each component's Euler circuit (Hierholzer's walk) starts at its
+    lowest X-vertex along that vertex's lower edge id, so the reversed
+    circuits laid end to end keep each circuit's parity classes. The walk
+    steps from Y-vertex to Y-vertex: a Y-vertex leaves by its lowest
+    unused edge, and the X-vertex that edge enters has degree 2, so the
+    edge it is left by is forced. Edges go into `rev` in reverse walk
+    order: a stuck Y-vertex gives up the outgoing and then the incoming
+    edge of the X-vertex before it, an edge back into the start vertex is
+    given up at once, and the start's first edge comes last.
     """
-    side = dict.fromkeys(pg.vertices, 0)
-    _two_color(pg.vertices, pg.edges, side)
-    return {u: "AB"[s - 1] for u, s in side.items()}
-
-
-def _half_pairs(x_count: int, y_count: int, edges: Sequence[tuple[int, int]], parity: int) -> list[tuple[int, int]]:
-    """Per Y-vertex, its two edge ids in parity class `parity`, lower X-end first.
-
-    `edges` lists a (2,4)-biregular graph's (x, y) pairs by edge id. Each
-    component's Euler circuit (Hierholzer's walk) starts at its lowest
-    X-vertex along that vertex's lower edge id, and has even length, so
-    the reversed circuits laid end to end keep each circuit's parity
-    classes. The walk steps from Y-vertex to Y-vertex: a Y-vertex leaves
-    by its lowest unused edge, and the X-vertex that edge enters has
-    degree 2, so the edge it is left by is forced. Edges go into `rev` in
-    reverse walk order: a stuck Y-vertex gives up the outgoing and then
-    the incoming edge of the X-vertex before it, an edge back into the
-    start vertex is given up at once, and the start's first edge comes
-    last.
-    """
+    if parity not in (0, 1):
+        raise ValueError("parity is 0 or 1")
     n = x_count
     first = [-1] * n  # per X-vertex: its lower edge id
     other = [0] * len(edges)  # per edge: the other edge at its X-vertex
@@ -335,25 +275,6 @@ def _half_pairs(x_count: int, y_count: int, edges: Sequence[tuple[int, int]], pa
     if x_hits.count(1) != n or any(len(two) != 2 for two in at_y):
         raise InvariantError("parity class is not a half factor")
     return [(e1, e2) if edges[e1][0] < edges[e2][0] else (e2, e1) for e1, e2 in at_y]
-
-
-def p3_half_factor(h: BipartiteMultigraph, parity: int = 0) -> HalfFactor:
-    """One parity class of per-component Eulerian circuits of a (2,4)-biregular graph.
-
-    The graph is bipartite, so each component's circuit has even length
-    and every visit to a vertex enters at one parity and leaves at the
-    other. The edges at even (parity=0) or odd (parity=1) positions
-    therefore give every X-vertex degree 1 and every Y-vertex degree 2,
-    i.e. a disjoint union of length-2 paths with distinct ends covering
-    h. Both parity classes together partition the edges.
-    """
-    if parity not in (0, 1):
-        raise ValueError("parity is 0 or 1")
-    pairs = _half_pairs(h.x_count, h.y_count, h.edges, parity)
-    paths = tuple(
-        Path((xv(h.edges[e1][0]), yv(y), xv(h.edges[e2][0])), (e1, e2)) for y, (e1, e2) in enumerate(pairs)
-    )
-    return HalfFactor(frozenset(e for pair in pairs for e in pair), paths)
 
 
 def _exact_cover(
@@ -505,7 +426,7 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
         else:
             peeled.append((x, slot[y]))
             peeled_ids.append(eid)
-    # _half_pairs checks the peeled graph's degrees, so each X-vertex has
+    # p3_half_factor checks the peeled graph's degrees, so each X-vertex has
     # exactly one edge into the cover
 
     # per X-vertex x: the index of the half-factor path T that x ends, and
@@ -513,7 +434,7 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     xs, ys = vertex_tables(n, g.y_count)
     t_of_x = [0] * n
     arm: list[tuple[tuple[Vertex, ...], tuple[int, ...]]] = [((), ())] * n
-    for ti, (ea, eb) in enumerate(_half_pairs(n, rest, peeled, 0)):
+    for ti, (ea, eb) in enumerate(p3_half_factor(n, rest, peeled, 0)):
         ea, eb = peeled_ids[ea], peeled_ids[eb]
         (a, y), b = edges[ea], edges[eb][0]
         t_of_x[a] = t_of_x[b] = ti
@@ -524,7 +445,7 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     # contracted edge id == X-vertex index of g
     contracted = [(t_of_x[x], slot[edges[eid][1]]) for x, eid in enumerate(contact)]
     paths = []
-    for cj, (x_i, x_j) in enumerate(_half_pairs(rest, len(cover), contracted, 0)):
+    for cj, (x_i, x_j) in enumerate(p3_half_factor(rest, len(cover), contracted, 0)):
         (vi, ei), (vj, ej) = arm[x_i], arm[x_j]
         paths.append(Path(vi + (ys[cover[cj]],) + vj[::-1], ei + (contact[x_i], contact[x_j]) + ej[::-1]))
     return finish_factor(g, PathFactor(tuple(paths)), "via24 construction")
@@ -639,7 +560,6 @@ def search_proper_path_factor(
         else:
             j += 1
     return SearchResult("none", None, nodes)
-
 
 
 _PIVOT, _RIGHT, _LEFT = "pivot", "right", "left"  # search steps

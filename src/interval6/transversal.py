@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .bigraph import BipartiteMultigraph, Vertex, _node_components, node_vertex, vertex_tables
+from .bigraph import BipartiteMultigraph, Vertex, components, node_vertex, vertex_tables
 from .checker import Path, PathFactor, SubgraphCertificate, check_full_3regular, finish_factor
 from .errors import InvariantError
 from .pathfactor import _exact_cover
@@ -180,9 +180,9 @@ def fstar_components(f: FGraph, ts: TripleSystem) -> tuple[tuple[int, ...], ...]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(f.n)]
     links = [(e.u, e.v) for e in f.edges] + [(t[0], t[i]) for t in ts.triples for i in (1, 2)]
     for a, b in links:
-        adj[a].append((-1, b))  # _node_components ignores the edge id
+        adj[a].append((-1, b))  # components ignores the edge id
         adj[b].append((-1, a))
-    return tuple(map(tuple, _node_components(adj)))
+    return tuple(map(tuple, components(adj)))
 
 
 def _gaps(cyc: tuple[int, ...], members: set[int]) -> list[tuple[int, int]] | None:

@@ -1,11 +1,16 @@
-"""Random instance builders shared by several test modules."""
+"""Random instance builders shared by several test modules, and the
+certificate kernels' node-id output lifted into `Path` objects and named
+tuples, the form the tests compare."""
 
 import random
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from interval6 import bigraph
-from interval6.bigraph import BipartiteMultigraph, build
+from interval6.bigraph import BipartiteMultigraph, build, node_vertex
+from interval6.checker import Path, PathFactor, node_path
+from interval6.pathfactor import build_pgraph, build_q, p3_half_factor, two_color_pgraph
 
 
 def random_24_biregular(m: int, rng: random.Random) -> BipartiteMultigraph:
@@ -87,3 +92,68 @@ def cold_vertex_tables():
         bigraph._XS, bigraph._YS = xs, ys
         bigraph._LABELS.clear()
         bigraph._LABELS.update(labels)
+
+
+# --- the certificate kernels' output, lifted ------------------------------
+
+
+class QDecomposition(NamedTuple):
+    """The leftover subgraph: cycles as edge ids in walk order, X-to-X paths."""
+
+    cycles: tuple[tuple[int, ...], ...]
+    paths: tuple[Path, ...]
+
+
+class PEdge(NamedTuple):
+    u: int  # X-side vertex index
+    v: int
+    kind: str  # "a": same length-6 path; "b": distance 4 in a length-8 path; "c": leftover path ends
+
+
+class PGraph(NamedTuple):
+    """The link graph: sorted interior X ids and its edges."""
+
+    vertices: tuple[int, ...]
+    edges: tuple[PEdge, ...]
+
+
+class HalfFactor(NamedTuple):
+    """Length-2 paths centred on the Y-vertices, in Y order, with ascending X-ends."""
+
+    edge_set: frozenset[int]
+    paths: tuple[Path, ...]
+
+
+def q_decomposition(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:
+    """`build_q`'s cycles and paths, each path as a `Path`."""
+    _, cycles, paths = build_q(g, factor)
+    return QDecomposition(tuple(map(tuple, cycles)), tuple(node_path(g.x_count, *p) for p in paths))
+
+
+def p_graph(g: BipartiteMultigraph, factor: PathFactor) -> PGraph:
+    """`build_pgraph` of the factor, over the leftover split `build_q` gives."""
+    _, _, q_paths = build_q(g, factor)
+    inner, links = build_pgraph(g.x_count, factor, q_paths)
+    return PGraph(tuple(inner), tuple(PEdge(*e) for e in links))
+
+
+def pgraph_sides(pg: PGraph) -> dict[int, str]:
+    """`two_color_pgraph` of `pg`, as X id -> "A" | "B" over its vertices.
+
+    The side array spans the vertices; a link end beyond them is not a
+    vertex, and raises KeyError before any side is read."""
+    side = two_color_pgraph(max(pg.vertices, default=-1) + 1, pg.vertices, pg.edges)
+    return {u: "AB"[side[u] - 1] for u in pg.vertices}
+
+
+def half_factor(h: BipartiteMultigraph, parity: int = 0) -> HalfFactor:
+    """`p3_half_factor` of `h`, each Y-vertex's pair as a length-2 `Path`."""
+    pairs = p3_half_factor(h.x_count, h.y_count, h.edges, parity)
+    n = h.x_count
+    paths = tuple(node_path(n, (h.edges[e1][0], n + y, h.edges[e2][0]), (e1, e2)) for y, (e1, e2) in enumerate(pairs))
+    return HalfFactor(frozenset(e for pair in pairs for e in pair), paths)
+
+
+def vertex_components(g: BipartiteMultigraph) -> list[list[bigraph.Vertex]]:
+    """`components` of the graph's node adjacency, as `Vertex` lists."""
+    return [[node_vertex(g.x_count, u) for u in comp] for comp in bigraph.components(g.node_adj)]

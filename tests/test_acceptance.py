@@ -16,7 +16,7 @@ import json
 import random
 import time
 
-from helpers import random_cover_admitting
+from helpers import half_factor, random_cover_admitting
 
 from interval6 import cli
 from interval6.bigraph import (
@@ -49,7 +49,6 @@ from interval6.oracle import (
 )
 from interval6.pathfactor import (
     find_y_cover,
-    p3_half_factor,
     p7_factor_via_24,
     pivot_path_factor,
     search_full_3regular,
@@ -154,8 +153,8 @@ def test_criterion_07_both_parity_classes_are_half_factors():
         g = random_cover_admitting(rng.choice([2, 3]), rng)
         cover = find_y_cover(g)
         h, _, _ = delete_y(g, cover)
-        a = p3_half_factor(h, parity=0)
-        b = p3_half_factor(h, parity=1)
+        a = half_factor(h, parity=0)
+        b = half_factor(h, parity=1)
         ok = all(p.length == 2 for hf in (a, b) for p in hf.paths)
         ok = ok and not (a.edge_set & b.edge_set)
         ok = ok and (a.edge_set | b.edge_set) == frozenset(range(h.edge_count))

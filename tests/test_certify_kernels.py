@@ -13,6 +13,8 @@ exception type with the same message. The one exception is a leftover
 with a node of degree 0 or above 2, which only a factor that skipped its
 check can leave: `_split` refuses it before walking, while the reference
 split walked it as far as it went (see `test_fake_factors_match_reference`).
+The kernels' node-id output is compared in the references' form, lifted by
+`helpers.q_decomposition`, `p_graph` and `pgraph_sides`.
 """
 
 import hashlib
@@ -21,16 +23,25 @@ import re
 import sys
 
 import pytest
-from helpers import random_core_admitting, random_cover_admitting
+from helpers import (
+    PEdge,
+    PGraph,
+    QDecomposition,
+    p_graph,
+    pgraph_sides,
+    q_decomposition,
+    random_core_admitting,
+    random_cover_admitting,
+)
 
 from interval6 import coloring, pathfactor
 from interval6.bigraph import (
     BipartiteMultigraph,
     Vertex,
-    _node_components,
     _split,
     _strict_int,
     biregular34_k,
+    components,
     node_vertex,
     xv,
     yv,
@@ -55,17 +66,7 @@ from interval6.coloring import (
 )
 from interval6.errors import InvariantError
 from interval6.generators import eight_triples_graph, random_34_biregular, subset_graph_6, two_eight_triples
-from interval6.pathfactor import (
-    PEdge,
-    PGraph,
-    QDecomposition,
-    build_pgraph,
-    build_q,
-    p7_factor_via_24,
-    pivot_path_factor,
-    search_full_3regular,
-    two_color_pgraph,
-)
+from interval6.pathfactor import p7_factor_via_24, pivot_path_factor, search_full_3regular
 from interval6.transversal import factor_from_mixed_transversal
 
 
@@ -198,7 +199,7 @@ def reference_trail(adj, used: bytearray, start: int) -> tuple[list[int], list[i
 def reference_split(n: int, size: int, edges, eids) -> tuple[list[list[int]], list[tuple[list[int], list[int]]]]:
     """The component-and-trail split `bigraph._split` replaced, raising on
     the first component that is not a cycle or a path; the X-end check is
-    `_leftover`'s, so it is not repeated here."""
+    `build_q`'s, so it is not repeated here."""
     # edges of the set at every node id, as (edge id, other end) in edge-id order
     adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for eid in eids:
@@ -213,7 +214,7 @@ def reference_split(n: int, size: int, edges, eids) -> tuple[list[list[int]], li
 
     cycles: list[list[int]] = []
     paths: list[tuple[list[int], list[int]]] = []
-    for comp in _node_components(adj):
+    for comp in components(adj):
         if len(comp) == 1:  # the graph is bipartite, so only a node with no edges is alone
             raise InvariantError(f"leftover graph has an isolated vertex in {vertices(comp)}")
         ones = [u for u in comp if len(adj[u]) == 1]
@@ -339,7 +340,7 @@ def test_valid_factors_match_reference(factored, larger):
     for g, factor in factored + larger:
         assert same(path_factor_violation, reference_path_factor_violation, g, factor) == ("ok", None)
         assert leftover_degree_error(g, factor) is None  # a proper path factor leaves degrees 1 and 2
-        assert same(build_q, reference_build_q, g, factor)[0] == "ok"
+        assert same(q_decomposition, reference_build_q, g, factor)[0] == "ok"
         col = color_from_factor(g, factor)
         assert same(_coloring_scan, reference_coloring_scan, g, col) == ("ok", (True, None))
 
@@ -401,7 +402,7 @@ def test_mutated_factors_match_reference(factored):
         for bad in mutations(g, factor, rng):
             kind, why = same(path_factor_violation, reference_path_factor_violation, g, bad)
             messages.add(why.split(" ")[0] if kind == "ok" and why else kind)
-            same(build_q, reference_build_q, g, bad)
+            same(q_decomposition, reference_build_q, g, bad)
     assert {"ValueError", "path", "edge", "vertex", "vertices"} <= messages
 
 
@@ -419,10 +420,10 @@ def test_build_q_invariants_match_reference(factored, monkeypatch):
             fake = PathFactor((Path((), eids),))
             want = leftover_degree_error(g, fake)
             if want is None:
-                kind, what = same(build_q, reference_build_q, g, fake)
+                kind, what = same(q_decomposition, reference_build_q, g, fake)
                 kinds.add(what.split(" ")[1] if kind == "InvariantError" else kind)
             else:
-                assert outcome(build_q, g, fake) == want
+                assert outcome(q_decomposition, g, fake) == want
                 degrees.add(int(want[1].split(" ")[1]))
     assert "path" in kinds  # a Y-end on a leftover of degrees 1 and 2
     assert {0, 3, 4} <= degrees
@@ -431,7 +432,7 @@ def test_build_q_invariants_match_reference(factored, monkeypatch):
 def test_build_q_rejects_non_biregular_graphs_like_reference():
     g, factor = subset_graph_6()
     h = BipartiteMultigraph(g.x_count, g.y_count, g.edges[:-1])
-    assert same(build_q, reference_build_q, h, factor)[0] == "ValueError"
+    assert same(q_decomposition, reference_build_q, h, factor)[0] == "ValueError"
 
 
 # --- the path-and-cycle split -------------------------------------------
@@ -728,9 +729,9 @@ def test_seeded_factors_cover_every_length(seeded):
 def test_colorings_match_reference(factored, seeded):
     for g, factor in factored + seeded:
         assert same(color_from_factor, reference_color_from_factor, g, factor)[0] == "ok"
-        kind, pg = same(build_pgraph, reference_build_pgraph, g, factor)
+        kind, pg = same(p_graph, reference_build_pgraph, g, factor)
         assert kind == "ok"
-        assert same(two_color_pgraph, reference_two_color_pgraph, pg)[0] == "ok"
+        assert same(pgraph_sides, reference_two_color_pgraph, pg)[0] == "ok"
 
 
 def test_colorings_pinned(factored, seeded):
@@ -798,15 +799,15 @@ def test_fake_factors_match_reference(factored, seeded, monkeypatch):
             if want is not None:
                 # no split into paths and cycles exists; the reference walked
                 # what it could and failed in one of several ways, none a coloring
-                assert outcome(color_from_factor, g, fake) == outcome(build_pgraph, g, fake) == want
+                assert outcome(color_from_factor, g, fake) == outcome(p_graph, g, fake) == want
                 assert outcome(reference_color_from_factor, g, fake)[0] != "ok"
                 refused += 1
                 continue
             kind, what = same(color_from_factor, reference_color_from_factor, g, fake)
             messages.add(re.match(r"[a-z ]*", what).group() if kind == "InvariantError" else kind)
-            kind, pg = same(build_pgraph, reference_build_pgraph, g, fake)
+            kind, pg = same(p_graph, reference_build_pgraph, g, fake)
             if kind == "ok":
-                same(two_color_pgraph, reference_two_color_pgraph, pg)
+                same(pgraph_sides, reference_two_color_pgraph, pg)
     assert refused >= 100
     # every link vertex has one (c) edge and at most one (a)/(b) edge once
     # the degree check passes, so the odd-cycle check is reached only
@@ -823,9 +824,9 @@ def test_fake_factors_match_reference(factored, seeded, monkeypatch):
 
 def test_coloring_refuses_a_split_that_lost_a_cycle(monkeypatch):
     g, factor = subset_graph_6()
-    on_factor, cycles, paths = pathfactor._leftover(g, factor)
+    on_factor, cycles, paths = pathfactor.build_q(g, factor)
     assert cycles
-    monkeypatch.setattr(coloring, "_leftover", lambda g, factor: (on_factor, cycles[1:], paths))
+    monkeypatch.setattr(coloring, "build_q", lambda g, factor: (on_factor, cycles[1:], paths))
     assert outcome(color_from_factor, g, factor) == ("InvariantError", "construction left an edge uncolored")
 
 
@@ -838,7 +839,7 @@ def test_two_color_pgraph_matches_reference_on_random_link_graphs():
         edges = tuple(
             PEdge(rng.choice(pool), rng.choice(pool), rng.choice("abc")) for _ in range(rng.randrange(0, 10))
         )
-        kinds.add(same(two_color_pgraph, reference_two_color_pgraph, PGraph(vertices, edges))[0])
+        kinds.add(same(pgraph_sides, reference_two_color_pgraph, PGraph(vertices, edges))[0])
     assert kinds == {"ok", "InvariantError", "KeyError"}
 
 

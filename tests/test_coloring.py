@@ -1,21 +1,13 @@
 import random
 
 import pytest
-from helpers import random_cover_admitting
+from helpers import PGraph, QDecomposition, p_graph, pgraph_sides, q_decomposition, random_cover_admitting
 
 from interval6.bigraph import BipartiteMultigraph, build, xv, yv
 from interval6.checker import EdgeColoring, PathFactor, check_interval, check_proper
 from interval6.coloring import FACTOR_COLORS, LEFTOVER_COLORS, color_from_factor, color_summary
 from interval6.generators import random_34_biregular, subset_graph_6
-from interval6.pathfactor import (
-    PGraph,
-    QDecomposition,
-    build_pgraph,
-    build_q,
-    p7_factor_via_24,
-    search_proper_path_factor,
-    two_color_pgraph,
-)
+from interval6.pathfactor import p7_factor_via_24, search_proper_path_factor
 
 
 def k34():
@@ -44,7 +36,7 @@ def test_subset_graph_coloring():
     coloring = color_from_factor(g, factor)
     assert_valid(g, factor, coloring)
     assert check_proper(g, coloring) and check_interval(g, coloring)
-    side = two_color_pgraph(build_pgraph(g, factor))
+    side = pgraph_sides(p_graph(g, factor))
     for p in factor.paths:
         for i in range(2, p.length - 1, 2):
             w = p.vertices[i].index
@@ -113,8 +105,8 @@ def test_rejects_invalid_factor():
 def test_empty_graph_colors_with_nothing_to_split():
     # k = 0: no vertices, so the leftover split has no component to start from
     g, factor = BipartiteMultigraph(0, 0, ()), PathFactor(())
-    assert build_q(g, factor) == QDecomposition((), ())
-    assert build_pgraph(g, factor) == PGraph((), ())
+    assert q_decomposition(g, factor) == QDecomposition((), ())
+    assert p_graph(g, factor) == PGraph((), ())
     assert color_from_factor(g, factor) == EdgeColoring((), 6)
 
 

@@ -4,7 +4,16 @@ import random
 from itertools import combinations
 
 import pytest
-from helpers import random_24_biregular, random_cover_admitting
+from helpers import (
+    PEdge,
+    PGraph,
+    half_factor,
+    p_graph,
+    pgraph_sides,
+    q_decomposition,
+    random_24_biregular,
+    random_cover_admitting,
+)
 
 from interval6.bigraph import build, delete_y, is_biregular
 from interval6.checker import check_proper_path_factor, factor_to_dict
@@ -13,9 +22,6 @@ from interval6.errors import InvariantError
 from interval6.generators import claw_triple_graph, eight_triples_graph, subset_graph_6
 from interval6.oracle import oracle_full_3regular
 from interval6.pathfactor import (
-    PEdge,
-    PGraph,
-    build_pgraph,
     build_q,
     find_y_cover,
     p3_half_factor,
@@ -23,7 +29,6 @@ from interval6.pathfactor import (
     pivot_path_factor,
     search_full_3regular,
     search_proper_path_factor,
-    two_color_pgraph,
 )
 
 
@@ -46,7 +51,7 @@ def link_kinds(pg, u):
 
 def test_build_q_degrees_and_shapes():
     g, factor = subset_graph_6()
-    qd = build_q(g, factor)
+    qd = q_decomposition(g, factor)
     q_edges = [eid for c in qd.cycles for eid in c] + [e for p in qd.paths for e in p.edges]
     assert len(q_edges) == len(set(q_edges)) == len(g.edges) - 30
     ydeg = [0] * g.y_count
@@ -76,7 +81,7 @@ def test_build_q_rejects_bad_factor():
 
 def test_pgraph_subset_graph_counts():
     g, factor = subset_graph_6()
-    pg = build_pgraph(g, factor)
+    pg = p_graph(g, factor)
     assert set(pg.vertices) == interior_x(factor)
     assert len(pg.vertices) == 10
     kinds = sorted(e.kind for e in pg.edges)
@@ -98,7 +103,7 @@ def test_pgraph_on_random_cover_instances():
         if res.status != "found":
             continue
         hits += 1
-        pg = build_pgraph(g, res.factor)
+        pg = p_graph(g, res.factor)
         assert set(pg.vertices) == interior_x(res.factor)
         for u in pg.vertices:
             ks = link_kinds(pg, u)
@@ -108,26 +113,26 @@ def test_pgraph_on_random_cover_instances():
 
 def test_two_color_pgraph_proper():
     g, factor = subset_graph_6()
-    pg = build_pgraph(g, factor)
-    side = two_color_pgraph(pg)
+    pg = p_graph(g, factor)
+    side = pgraph_sides(pg)
     assert set(side) == set(pg.vertices)
     for e in pg.edges:
         assert side[e.u] != side[e.v]
     # deterministic and rooted at the smallest vertex of each component
-    assert two_color_pgraph(pg) == side
+    assert pgraph_sides(pg) == side
     assert side[min(pg.vertices)] == "A"
 
 
 def test_two_color_pgraph_odd_cycle():
     pg = PGraph((1, 2, 3), (PEdge(1, 2, "c"), PEdge(2, 3, "a"), PEdge(1, 3, "c")))
     with pytest.raises(InvariantError):
-        two_color_pgraph(pg)
+        pgraph_sides(pg)
 
 
 def test_half_factor_parity_classes():
     h = build(4, 2, [(i, j) for j in range(2) for i in range(4)])
-    lo = p3_half_factor(h, parity=0)
-    hi = p3_half_factor(h, parity=1)
+    lo = half_factor(h, parity=0)
+    hi = half_factor(h, parity=1)
     assert lo.edge_set | hi.edge_set == set(range(8))
     assert lo.edge_set.isdisjoint(hi.edge_set)
     for hf in (lo, hi):
@@ -144,7 +149,7 @@ def test_half_factor_random_instances():
         m = rng.randrange(2, 7)
         h = random_24_biregular(m, rng)
         for parity in (0, 1):
-            hf = p3_half_factor(h, parity=parity)
+            hf = half_factor(h, parity=parity)
             xdeg = [0] * h.x_count
             ydeg = [0] * h.y_count
             for eid in hf.edge_set:
@@ -158,9 +163,9 @@ def test_half_factor_random_instances():
 def test_half_factor_input_errors():
     h = build(4, 2, [(i, j) for j in range(2) for i in range(4)])
     with pytest.raises(ValueError):
-        p3_half_factor(h, parity=2)
+        p3_half_factor(h.x_count, h.y_count, h.edges, 2)
     with pytest.raises(ValueError):
-        p3_half_factor(k34())
+        p3_half_factor(4, 3, k34().edges, 0)
 
 
 def brute_force_y_cover(g):

@@ -1,28 +1,29 @@
 """The via24 half-factor kernel and the factor JSON codec against the code
 they replaced.
 
-`pathfactor.p7_factor_via_24` and `pathfactor.p3_half_factor` run on one
-kernel, `_half_pairs`, whose Euler walk steps from Y-vertex to Y-vertex;
+`pathfactor.p7_factor_via_24` runs on one kernel, `p3_half_factor`,
+whose Euler walk steps from Y-vertex to Y-vertex;
 `bigraph.eulerian_circuit` walks node by node on its own.
 `checker.factor_from_dict` reads plain labels and int edge ids without a
 regex. The versions below are the code they replaced, kept only as
 references: the `Vertex`-graph pipeline, and `reference_half_pairs`, the
-node-by-node walk (`reference_circuit`) that `_half_pairs` ran before.
+node-by-node walk (`reference_circuit`) that `p3_half_factor` ran before.
 On every input both must return equal results or raise the same
-exception type with the same message.
+exception type with the same message. The kernels take and give node
+ids; `helpers.half_factor` and `vertex_components` lift them into the
+references' `Path` and `Vertex` form.
 """
 
 import random
 import time
 
-from helpers import random_24_biregular, random_cover_admitting
+from helpers import HalfFactor, half_factor, random_24_biregular, random_cover_admitting, vertex_components
 
 from interval6.bigraph import (
     BipartiteMultigraph,
     Vertex,
     _strict_int,
     build,
-    components,
     delete_y,
     eulerian_circuit,
     is_biregular,
@@ -34,7 +35,7 @@ from interval6.bigraph import (
 from interval6.checker import Path, PathFactor, factor_from_dict, factor_to_dict, path_factor_violation
 from interval6.errors import InvariantError
 from interval6.generators import random_34_biregular
-from interval6.pathfactor import HalfFactor, _half_pairs, find_y_cover, p3_half_factor, p7_factor_via_24
+from interval6.pathfactor import find_y_cover, p3_half_factor, p7_factor_via_24
 
 
 def reference_circuit(adj, used: bytearray, ptr: list[int], start: int, out: list[int]) -> int:
@@ -140,7 +141,7 @@ def reference_p3_half_factor(h: BipartiteMultigraph, parity: int = 0) -> HalfFac
     if not is_biregular(h, 2, 4):
         raise ValueError("graph is not (2,4)-biregular")
     chosen: set[int] = set()
-    for comp in components(h):
+    for comp in vertex_components(h):
         circuit = reference_eulerian_circuit(h, comp)
         chosen.update(circuit[parity::2])
 
@@ -244,6 +245,11 @@ def outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
+def node_ids(g: BipartiteMultigraph, vertices) -> list[int]:
+    """The node ids of `vertices`, in their order: X-vertex i is i, Y-vertex j is x_count + j."""
+    return [v.index if v.side == "X" else g.x_count + v.index for v in vertices]
+
+
 def union(parts: list[BipartiteMultigraph], rng: random.Random) -> BipartiteMultigraph:
     """Disjoint union of `parts` with the edge list shuffled, so components interleave in edge-id order."""
     edges = []
@@ -284,10 +290,10 @@ def test_half_factor_matches_reference_on_component_unions():
         parts = [random_24_biregular(rng.randrange(1, 7), rng) for _ in range(rng.randrange(1, 6))]
         h = union(parts, rng)
         for parity in (0, 1, 2):
-            assert outcome(p3_half_factor, h, parity) == outcome(reference_p3_half_factor, h, parity)
+            assert outcome(half_factor, h, parity) == outcome(reference_p3_half_factor, h, parity)
     for bad in (build(2, 1, [(0, 0), (1, 0)]), build(4, 3, [(i, j) for i in range(4) for j in range(3)])):
-        assert outcome(p3_half_factor, bad) == outcome(reference_p3_half_factor, bad)
-    assert p3_half_factor(build(0, 0, [])) == reference_p3_half_factor(build(0, 0, []))
+        assert outcome(half_factor, bad) == outcome(reference_p3_half_factor, bad)
+    assert half_factor(build(0, 0, [])) == reference_p3_half_factor(build(0, 0, []))
 
 
 def parallel_start_24(m: int, rng: random.Random) -> BipartiteMultigraph:
@@ -313,7 +319,7 @@ def test_half_pairs_matches_the_circuit_walk():
     for h in graphs:
         for parity in (0, 1):
             args = (h.x_count, h.y_count, h.edges, parity)
-            assert outcome(_half_pairs, *args) == outcome(reference_half_pairs, *args), (h, parity)
+            assert outcome(p3_half_factor, *args) == outcome(reference_half_pairs, *args), (h, parity)
 
 
 def test_eulerian_circuit_matches_reference_on_good_and_bad_vertex_sets():
@@ -322,19 +328,19 @@ def test_eulerian_circuit_matches_reference_on_good_and_bad_vertex_sets():
         parts = [random_24_biregular(rng.randrange(1, 5), rng) for _ in range(rng.randrange(1, 4))]
         g = union(parts, rng)
         cases = [g.vertices()]  # several components: not connected
-        for comp in components(g):
+        for comp in vertex_components(g):
             cases += [comp, comp[:-1], comp[1:], comp[::-1] + [comp[0]]]
         for vs in cases:
-            assert outcome(eulerian_circuit, g, vs) == outcome(reference_eulerian_circuit, g, vs)
+            assert outcome(eulerian_circuit, g, node_ids(g, vs)) == outcome(reference_eulerian_circuit, g, vs)
     odd = build(2, 1, [(0, 0), (1, 0)])
     square = build(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     for g, vs in [
-        (odd, components(odd)[0]),
+        (odd, vertex_components(odd)[0]),
         (square, [xv(0), xv(1), yv(1)]),
         (build(2, 2, [(0, 0), (0, 0), (1, 1), (1, 1)]), [xv(0), xv(1), yv(0), yv(1)]),
         (build(3, 2, [(1, 0), (1, 1), (2, 0), (2, 1)]), [xv(0)]),
     ]:
-        assert outcome(eulerian_circuit, g, vs) == outcome(reference_eulerian_circuit, g, vs)
+        assert outcome(eulerian_circuit, g, node_ids(g, vs)) == outcome(reference_eulerian_circuit, g, vs)
 
 
 def disjoint_k42(copies: int) -> BipartiteMultigraph:
@@ -346,10 +352,10 @@ def disjoint_k42(copies: int) -> BipartiteMultigraph:
 def test_half_factor_is_linear_in_the_number_of_components():
     small = disjoint_k42(50)
     for parity in (0, 1):
-        assert p3_half_factor(small, parity) == reference_p3_half_factor(small, parity)
+        assert half_factor(small, parity) == reference_p3_half_factor(small, parity)
     big = disjoint_k42(10_000)  # the reference takes about 10 s here
     start = time.perf_counter()
-    half = p3_half_factor(big)
+    half = half_factor(big)
     assert time.perf_counter() - start < 2.0
     assert len(half.paths) == 20_000 and len(half.edge_set) == 40_000
 
