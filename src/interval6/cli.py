@@ -3,7 +3,10 @@
 Subcommands: gen, factor, color, verify, hunt, export. All file formats
 are the JSON shapes defined in bigraph and checker; "-" means stdin or
 stdout. Exit codes: 0 success or verified, 1 definitive negative, 2
-unknown, bounded out or out of memory, 3 input error (bad usage too).
+unknown, bounded out, out of memory or an internal error (shown with its
+traceback), 3 input error: bad usage or a file that cannot be read or
+written. Commands raise and `main` alone maps exceptions to codes, so 0
+and 1 come only from a command that finished.
 """
 
 import argparse
@@ -11,7 +14,8 @@ import json
 import multiprocessing
 import os
 import sys
-from typing import NoReturn
+import traceback
+from typing import Any, Callable, NoReturn
 
 from .bigraph import BipartiteMultigraph, from_json, to_dict, to_dot, to_json
 from .checker import (
@@ -65,30 +69,19 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _fail(msg: str, code: int = EXIT_INPUT) -> "SystemExit":
-    print(f"error: {msg}", file=sys.stderr)
-    return SystemExit(code)
-
-
-def _load_graph(path: str) -> BipartiteMultigraph:
+def _load(path: str, what: str, parse: Callable[[str], Any] = json.loads) -> Any:
+    """`parse` of the text at `path`; a file that cannot be read or parsed is an input error."""
     try:
-        return from_json(_read_text(path))
+        return parse(_read_text(path))
     except (OSError, ValueError) as exc:
-        raise _fail(f"cannot read graph from {path}: {exc}") from exc
-
-
-def _load_json(path: str, what: str) -> dict:
-    try:
-        return json.loads(_read_text(path))
-    except (OSError, ValueError) as exc:
-        raise _fail(f"cannot read {what} from {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def _load_coloring(path: str, g: BipartiteMultigraph) -> EdgeColoring:
     """The coloring at `path`; an input error unless it has one color per edge of g."""
-    coloring = coloring_from_dict(_load_json(path, "coloring"))
+    coloring = coloring_from_dict(_load(path, "coloring"))
     if len(coloring.colors) != g.edge_count:
-        raise _fail(f"coloring covers {len(coloring.colors)} edges, graph has {g.edge_count}")
+        raise ValueError(f"coloring covers {len(coloring.colors)} edges, graph has {g.edge_count}")
     return coloring
 
 
@@ -108,12 +101,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
         g, factor = two_eight_triples()
     else:
         if args.k is None:
-            raise _fail("--family random needs --k")
+            raise ValueError("--family random needs --k")
         g = random_34_biregular(args.k, seed=args.seed, simple_only=not args.multi)
+    if args.factor_out and factor is None:  # refuse before writing anything
+        raise ValueError(f"family {args.family} has no canonical factor")
     _write_text(args.out, to_json(g) + "\n")
     if args.factor_out:
-        if factor is None:
-            raise _fail(f"family {args.family} has no canonical factor")
         _write_text(args.factor_out, json.dumps(factor_to_dict(factor)) + "\n")
     return EXIT_OK
 
@@ -123,7 +116,7 @@ def _factor_lengths(factor: PathFactor) -> list[int]:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", from_json)
     report: dict = {"method": args.method}
     if args.method == "search":
         res = search_proper_path_factor(g, max_nodes=args.max_nodes)
@@ -162,8 +155,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    factor = factor_from_dict(_load_json(args.factor, "factor"))
+    g = _load(args.graph, "graph", from_json)
+    factor = factor_from_dict(_load(args.factor, "factor"))
     try:
         coloring = color_from_factor(g, factor)  # checks the factor first
     except ValueError as exc:
@@ -171,7 +164,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         why = msg.removeprefix("not a proper path factor: ")
         if why == msg:
             raise
-        raise _fail(f"factor rejected: {why}") from None
+        raise ValueError(f"factor rejected: {why}") from None
     out = args.out or "-"
     _write_text(out, json.dumps(coloring_to_dict(coloring)) + "\n")
     if args.dot:
@@ -184,13 +177,13 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", from_json)
     if not (args.factor or args.coloring or args.cert or args.oracle):
-        raise _fail("nothing to verify: pass --factor, --coloring, --cert or --oracle")
+        raise ValueError("nothing to verify: pass --factor, --coloring, --cert or --oracle")
     worst = EXIT_OK
 
     if args.factor:
-        factor = factor_from_dict(_load_json(args.factor, "factor"))
+        factor = factor_from_dict(_load(args.factor, "factor"))
         why = path_factor_violation(g, factor)
         if why is None:
             print(f"factor: ok ({len(factor.paths)} paths, lengths {_factor_lengths(factor)})")
@@ -209,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = max(worst, EXIT_NONE)
 
     if args.cert:
-        cert = cert_from_dict(_load_json(args.cert, "subgraph certificate"))
+        cert = cert_from_dict(_load(args.cert, "subgraph certificate"))
         if check_full_3regular(g, cert):
             print(f"cert: ok (full 3-regular subgraph, {len(cert.edge_set)} edges)")
         else:
@@ -287,7 +280,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", from_json)
     colors = None
     if args.coloring:
         colors = dict(enumerate(_load_coloring(args.coloring, g).colors))
@@ -333,8 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["subset6", "eight-triples", "claw-triple", "random", "two-eight-triples"])
     p.add_argument("--k", type=int, help="size parameter for --family random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--simple", action="store_true", help="reject parallel edges (default)")
-    p.add_argument("--multi", action="store_true", help="allow parallel edges")
+    edges = p.add_mutually_exclusive_group()
+    edges.add_argument("--simple", action="store_true", help="reject parallel edges (default)")
+    edges.add_argument("--multi", action="store_true", help="allow parallel edges")
     p.add_argument("--out", default="-", help="graph JSON destination")
     p.add_argument("--factor-out", help="also write the family's canonical factor")
     p.set_defaults(func=cmd_gen)
@@ -385,16 +379,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "simple", False) and getattr(args, "multi", False):
-        raise _fail("--simple and --multi are mutually exclusive")
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except ValueError as exc:
-        raise _fail(str(exc)) from None
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except MemoryError:  # a crash decides nothing, so it must not read as a negative
-        raise _fail("out of memory", EXIT_UNKNOWN) from None
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except Exception:  # a bug decides nothing either
+        traceback.print_exc()
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

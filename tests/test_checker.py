@@ -235,6 +235,9 @@ def test_cert_from_dict_rejects_non_integers():
     for bad in (1.5, "2", True):
         with pytest.raises(ValueError, match="must be an integer"):
             cert_from_dict({"edges": [0, bad]})
+    for bad in ({}, {"edges": 3}):
+        with pytest.raises(ValueError, match="^malformed subgraph object: "):
+            cert_from_dict(bad)
 
 
 _REFERENCE_SIDES = {"x": "X", "y": "Y"}

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import hashlib
+import io
 import json
 import random
 import sys
@@ -16,6 +17,7 @@ from interval6.checker import (
     factor_from_dict,
     path_factor_violation,
 )
+from interval6.errors import InvariantError
 from interval6.generators import random_34_biregular
 
 
@@ -71,6 +73,10 @@ def test_gen_factor_out_needs_canonical_factor(capsys, tmp_path):
                        "--out", str(tmp_path / "g.json"),
                        "--factor-out", str(tmp_path / "f.json"))
     assert code == 3 and "canonical factor" in err
+    # refused before anything is written, to a file or to stdout
+    assert not (tmp_path / "g.json").exists() and not (tmp_path / "f.json").exists()
+    code, out, err = run(capsys, "gen", "--family", "eight-triples", "--factor-out", "-")
+    assert (code, out) == (3, "") and "canonical factor" in err
 
 
 def test_factor_search_writes_verified_factor(capsys, tmp_path):
@@ -191,6 +197,8 @@ def test_input_errors_pinned(capsys, tmp_path):
     gpath = tmp_path / "g.json"
     fpath = tmp_path / "f.json"
     run(capsys, "gen", "--family", "subset6", "--out", str(gpath), "--factor-out", str(fpath))
+    # the graph is at fault, not the factor: no "factor rejected"
+    assert run(capsys, "color", "--in", str(bad), "--factor", str(fpath)) == not_biregular
     factor = json.loads(fpath.read_text())
     for label, shown in (("z0", "'z0'"), ("x0\n", "'x0\\n'")):
         factor["paths"][0][0] = label
@@ -301,6 +309,12 @@ def test_verify_accepts_and_rejects(capsys, tmp_path):
 
     code, _, err = run(capsys, "verify", "--in", str(gpath))
     assert code == 3 and "nothing to verify" in err
+
+    factor = json.loads(fpath.read_text())
+    del factor["paths"][0]
+    fpath.write_text(json.dumps(factor))
+    assert run(capsys, "verify", "--in", str(gpath), "--factor", str(fpath)) == (
+        1, "factor: FAIL (vertices not covered: x0, x1, x11, x16, y0, y5, y10)\n", "")
 
 
 def test_verify_cert_and_oracle(capsys, tmp_path):
@@ -583,3 +597,74 @@ def test_out_of_memory_exits_unknown(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "search_proper_path_factor", no_memory)
     code, out, err = run(capsys, "factor", "--in", str(gpath))
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_unwritable_outputs_are_input_errors(capsys, tmp_path):
+    """An output that cannot be written is an input error, reported in one
+    line that names it; a factor that was found does not turn into exit 1."""
+    gpath = tmp_path / "g.json"
+    fpath = tmp_path / "f.json"
+    cpath = tmp_path / "c.json"
+    run(capsys, "gen", "--family", "subset6", "--out", str(gpath), "--factor-out", str(fpath))
+    run(capsys, "color", "--in", str(gpath), "--factor", str(fpath), "--out", str(cpath))
+    missing = tmp_path / "missing"
+    for args, dest in (
+            (("factor", "--in", str(gpath)), ("--out", missing / "f.json")),
+            (("color", "--in", str(gpath), "--factor", str(fpath)), ("--out", missing / "c.json")),
+            (("export", "--in", str(gpath), "--coloring", str(cpath)), ("--dot", missing / "g.dot")),
+            (("gen", "--family", "subset6"), ("--out", missing / "g.json"))):
+        code, out, err = run(capsys, *args, dest[0], str(dest[1]))
+        assert (code, out) == (3, ""), args
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(dest[1]) in err, args
+    assert not missing.exists()
+
+
+def test_internal_errors_exit_unknown_with_a_traceback(capsys, tmp_path, monkeypatch):
+    # a broken invariant is a bug: it decides nothing, so it never reads as exit 1
+    gpath = tmp_path / "g.json"
+    fpath = tmp_path / "f.json"
+    run(capsys, "gen", "--family", "subset6", "--out", str(gpath), "--factor-out", str(fpath))
+
+    def broken(*args, **kwargs):
+        raise InvariantError("odd cycle in a bipartite graph")
+
+    monkeypatch.setattr(cli, "color_from_factor", broken)
+    monkeypatch.setattr(cli, "search_proper_path_factor", broken)
+    for args in (("color", "--in", str(gpath), "--factor", str(fpath)), ("factor", "--in", str(gpath))):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("Traceback (most recent call last):"), args
+        assert err.endswith("InvariantError: odd cycle in a bipartite graph\n"), args
+
+
+def test_gen_simple_and_multi_conflict_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "gen", "--family", "random", "--k", "2", "--simple", "--multi",
+                         "--out", str(tmp_path / "g.json"))
+    assert (code, out) == (3, "")
+    assert "usage: interval6 gen" in err and "--multi: not allowed with argument --simple" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_graph_from_stdin(capsys, tmp_path, monkeypatch):
+    gpath = gen_file(capsys, tmp_path, "claw-triple")
+    want = run(capsys, "factor", "--in", str(gpath), "--method", "oracle")
+    assert want[0] == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(gpath.read_text()))
+    assert run(capsys, "factor", "--in", "-", "--method", "oracle") == want
+
+
+def test_unreadable_certificates_are_input_errors(capsys, tmp_path):
+    gpath = gen_file(capsys, tmp_path, "subset6")
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text('{"paths": [')
+    missing = tmp_path / "missing.json"
+    for command, option, path, what in (
+            ("color", "--factor", missing, "factor"),
+            ("verify", "--factor", garbled, "factor"),
+            ("verify", "--coloring", garbled, "coloring"),
+            ("export", "--coloring", missing, "coloring"),
+            ("verify", "--cert", missing, "subgraph certificate")):
+        code, out, err = run(capsys, command, "--in", str(gpath), option, str(path))
+        assert (code, out) == (3, ""), (command, option)
+        assert err.startswith(f"error: cannot read {what} from {path}: "), (command, option)
+        assert err.count("\n") == 1, (command, option)

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from interval6.bigraph import build, biregular34_k, is_simple, is_two_edge_connected
-from interval6.checker import check_proper_path_factor
+from interval6.checker import PathFactor, check_proper_path_factor
 from interval6.generators import (
     claw_triple_graph,
     eight_triples_graph,
@@ -12,6 +12,7 @@ from interval6.generators import (
     subset_graph_6,
     two_switch,
 )
+from interval6.pathfactor import search_proper_path_factor
 
 
 def test_subset_graph_shape():
@@ -126,6 +127,25 @@ def test_two_switch_rejects_factor_edges():
         two_switch(g1, f1, on, g1, f1, off)
     with pytest.raises(ValueError):
         two_switch(g1, f1, off, g1, f1, g1.edge_count)
+
+
+def test_two_switch_needs_a_proper_factor_of_sixes():
+    g1, f1 = subset_graph_6()
+    off = next(e for e in range(g1.edge_count) if e not in f1.edge_ids())
+    with pytest.raises(ValueError, match="^second factor is not a proper path factor$"):
+        two_switch(g1, f1, off, g1, PathFactor(f1.paths[1:]), off)
+    g2 = random_34_biregular(3, seed=0)  # 2-edge-connected, factor lengths 4, 6 and 8
+    f2 = search_proper_path_factor(g2).factor
+    assert sorted(p.length for p in f2.paths) == [4, 6, 8]
+    off2 = next(e for e in range(g2.edge_count) if e not in f2.edge_ids())
+    with pytest.raises(ValueError, match="^first factor must have all path lengths 6$"):
+        two_switch(g2, f2, off2, g1, f1, off)
+
+
+def test_random_34_biregular_needs_a_positive_k():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            random_34_biregular(k, seed=0)
 
 
 def test_two_switch_rejects_bridged_graph():

@@ -6,6 +6,8 @@ import time
 from itertools import combinations
 from pathlib import Path as FilePath
 
+import pytest
+
 from helpers import disjoint_k43, random_24_biregular, recursion_limit
 
 from interval6.bigraph import BipartiteMultigraph, biregular34_k, build, xv, yv
@@ -99,6 +101,12 @@ def test_interval_oracle_matches_recursive_on_small_graphs():
 
 def test_interval_oracle_handles_an_edgeless_graph():
     assert oracle_interval_coloring(build(1, 1, []), 1) == EdgeColoring((), 1)
+
+
+def test_interval_oracle_needs_a_positive_palette():
+    for palette in (0, -6):
+        with pytest.raises(ValueError, match="^palette must be positive$"):
+            oracle_interval_coloring(build(1, 1, []), palette)
 
 
 def test_interval_oracle_does_not_recurse():

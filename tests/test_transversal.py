@@ -510,6 +510,9 @@ def test_factor_rejects_bad_mixed():
     with pytest.raises(ValueError):  # unknown case tag
         factor_from_mixed_transversal(
             g, cert, mixed=MixedTransversal((0, 1, 5), (TransversalPart((0, 1, 2), "chained"),)))
+    for members in ((0, 1), (0, 1, 5, 2)):
+        with pytest.raises(ValueError, match="^one member per triple required$"):
+            factor_from_mixed_transversal(g, cert, mixed=MixedTransversal(members, (part,)))
 
 
 def test_factor_rejects_parts_that_split_a_component():
