@@ -259,13 +259,6 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             if status == "unconfirmed":
                 unconfirmed.append(args.seed + i)
 
-    for hit in hits:
-        os.makedirs(args.archive, exist_ok=True)
-        name = os.path.join(args.archive, f"counterexample_k{args.k}_seed{hit['seed']}.json")
-        with open(name, "w", encoding="utf-8") as fh:
-            json.dump(hit["graph"], fh)
-        print(f"COUNTEREXAMPLE: no proper path factor; archived {name}", file=sys.stderr)
-
     _report({
         "k": args.k,
         "trials": args.trials,
@@ -276,6 +269,14 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         "unconfirmed_seeds": unconfirmed,
         "search_oracle_disagreements": disagreements,
     })
+    # archive after reporting, so a failed write cannot lose the seeds
+    if hits:
+        os.makedirs(args.archive, exist_ok=True)
+    for hit in hits:
+        name = os.path.join(args.archive, f"counterexample_k{args.k}_seed{hit['seed']}.json")
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(hit["graph"], fh)
+        print(f"COUNTEREXAMPLE: no proper path factor; archived {name}", file=sys.stderr)
     return EXIT_NONE if hits or disagreements else EXIT_OK
 
 
@@ -324,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write an example or random instance")
     p.add_argument("--family", required=True,
                    choices=["subset6", "eight-triples", "claw-triple", "random", "two-eight-triples"])
-    p.add_argument("--k", type=int, help="size parameter for --family random")
+    p.add_argument("--k", type=_positive, help="size parameter for --family random")
     p.add_argument("--seed", type=int, default=0)
     edges = p.add_mutually_exclusive_group()
     edges.add_argument("--simple", action="store_true", help="reject parallel edges (default)")
@@ -359,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hunt", help="search random instances for counterexamples")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive, default=1)

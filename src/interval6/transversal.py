@@ -6,8 +6,11 @@ proper 3-edge-coloring of the subgraph turns colors 1 and 2 into a
 2-regular "link" structure F on Y: each remaining X-vertex contributes
 one F-edge joining the far ends of its color-1 and color-2 edges. F is
 stored directed, color-1 end to color-2 end, which orients every cycle
-at once (each Y-vertex has one edge of each color, so in- and
-out-degrees are 1).
+at once: each Y-vertex has one edge of each color, so in- and
+out-degrees are 1 and F is a permutation of Y. `FGraph` keeps it as
+two per-vertex arrays, the edge leaving each vertex (`out`) and the
+vertex before it (`pred`); loops, F-adjacency and the cycles are read
+off them.
 
 Picking one vertex per triple (a transversal) that is independent in F,
 or spread along its cycles, or a per-component mix of the two, yields a
@@ -78,41 +81,37 @@ class FGraph:
             raise ValueError(f"vertex {bad} has in/out degree {indeg[bad]}/{outdeg[bad]}, want 1/1")
 
     @cached_property
-    def out_index(self) -> tuple[int, ...]:
-        idx = [-1] * self.n
-        for pos, e in enumerate(self.edges):
-            idx[e.u] = pos
-        return tuple(idx)
+    def out(self) -> tuple[FEdge, ...]:
+        """The edge leaving each vertex; y carries a loop when `out[y].v == y`."""
+        return tuple(sorted(self.edges, key=lambda e: e.u))  # each vertex is one edge's tail
 
     @cached_property
-    def in_index(self) -> tuple[int, ...]:
-        idx = [-1] * self.n
-        for pos, e in enumerate(self.edges):
-            idx[e.v] = pos
-        return tuple(idx)
+    def pred(self) -> tuple[int, ...]:
+        """The color-1 end of the edge entering each vertex.
 
-    def out_edge(self, u: int) -> FEdge:
-        return self.edges[self.out_index[u]]
-
-    def in_edge(self, v: int) -> FEdge:
-        return self.edges[self.in_index[v]]
+        a and b are F-adjacent when `out[a].v == b` or `pred[a] == b`.
+        """
+        pred = [0] * self.n
+        for e in self.edges:
+            pred[e.v] = e.u
+        return tuple(pred)
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex cycles in forward order along `out_index`, each starting at its smallest vertex."""
-        succ = [self.edges[p].v for p in self.out_index]
+        """Vertex cycles in forward order along `out`, each starting at its smallest vertex."""
+        out = self.out
         seen = bytearray(self.n)
-        out = []
+        cycles = []
         for start in range(self.n):
             cyc = []
             u = start
             while not seen[u]:
                 seen[u] = 1
                 cyc.append(u)
-                u = succ[u]
+                u = out[u].v
             if cyc:
-                out.append(tuple(cyc))
-        return tuple(out)
+                cycles.append(tuple(cyc))
+        return tuple(cycles)
 
     @cached_property
     def cycle_index(self) -> tuple[int, ...]:
@@ -122,21 +121,6 @@ class FGraph:
             for y in cyc:
                 idx[y] = c
         return tuple(idx)
-
-    @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        """F-neighbors of each vertex along either direction; a loop adds none."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            if e.u != e.v:
-                nbrs[e.u].add(e.v)
-                nbrs[e.v].add(e.u)
-        return tuple(map(frozenset, nbrs))
-
-    @cached_property
-    def looped(self) -> frozenset[int]:
-        """Vertices carrying a loop."""
-        return frozenset(e.u for e in self.edges if e.u == e.v)
 
 
 @dataclass(frozen=True)
@@ -239,7 +223,7 @@ def _hall_refutes(f: FGraph, ts: TripleSystem, domains: list[list[int]]) -> bool
     cycles add nothing: split into one 2-clique per F-edge, each member
     on them could take the edge leaving it, which no other member can.)
     """
-    nbrs = f.neighbors
+    out, pred = f.out, f.pred
     triple_of = ts.triple_of
     clique_of: dict[int, int] = {}  # member of a clique cycle -> the cycle's index in f.cycles
     for dom in domains:
@@ -248,7 +232,7 @@ def _hall_refutes(f: FGraph, ts: TripleSystem, domains: list[list[int]]) -> bool
             cyc = f.cycles[c]
             # a vertex has at most 2 F-neighbors and 2 triple mates, so no clique exceeds 5
             if y not in clique_of and len(cyc) <= 5 and all(
-                b in nbrs[a] or triple_of[a] == triple_of[b] for a, b in combinations(cyc, 2)
+                out[a].v == b or pred[a] == b or triple_of[a] == triple_of[b] for a, b in combinations(cyc, 2)
             ):
                 for w in cyc:
                     clique_of[w] = c
@@ -288,16 +272,17 @@ def _independent_for(f: FGraph, ts: TripleSystem, idxs: tuple[int, ...]) -> dict
     triple order.
     """
     order = sorted(idxs)
-    domains = [[y for y in ts.triples[i] if y not in f.looped] for i in order]
+    out, pred = f.out, f.pred
+    domains = [[y for y in ts.triples[i] if out[y].v != y] for i in order]
     if _hall_refutes(f, ts, domains):
         return None
     verts = [y for i in order for y in ts.triples[i]]  # member p of triple s is verts[3s + p]
     # out-edge column of each vertex; the triples hold every F-neighbor of theirs
     col = dict(zip(verts, range(len(order), 4 * len(order))))
     rows = [
-        (r, frozenset((r // 3, col[y], col[f.in_edge(y).u])))
+        (r, frozenset((r // 3, col[y], col[pred[y]])))
         for r, y in enumerate(verts)
-        if y not in f.looped
+        if out[y].v != y
     ]
     chosen = _exact_cover(4 * len(order), rows, primary=len(order))
     return None if chosen is None else {order[r // 3]: verts[r] for r in chosen}
@@ -582,13 +567,13 @@ def _validate_mixed(f: FGraph, ts: TripleSystem, mixed: MixedTransversal) -> Non
         if len({part_of[ts.triple_of[y]] for y in comp}) > 1:
             raise ValueError("parts split an F* component")
     for part in mixed.parts:
-        chosen = [mixed.members[i] for i in part.indices]
+        chosen = {mixed.members[i] for i in part.indices}
         if part.case == "independent":
-            if f.looped.intersection(chosen) or any(b in f.neighbors[a] for a in chosen for b in chosen):
+            if any(f.out[y].v in chosen for y in chosen):  # a loop, or an F-edge inside the part
                 raise ValueError("part is not an independent transversal")
         elif part.case == "spread":
             cycles = (f.cycles[c] for c in _cycles_through(f, ts, part.indices))
-            why = _spread_violation(cycles, set(chosen))
+            why = _spread_violation(cycles, chosen)
             if why is not None:
                 raise ValueError(f"part {why}, not spread")
         else:
@@ -603,7 +588,7 @@ def _case_independent(
     end_at: dict[int, tuple[int, int]] = {}  # base endpoint x -> (triple, 0 left / 1 right)
     for i, y1 in chosen.items():
         y2, y3 = (y for y in ts.triples[i] if y != y1)
-        m2, m3 = f.out_edge(y2), f.out_edge(y3)
+        m2, m3 = f.out[y2], f.out[y3]
         x0, e02 = outside[y2]
         verts = [xs[m2.mid_x], ys[y2], xs[x0], ys[y3], xs[m3.mid_x]]
         eids = [m2.edge1, e02, outside[y3][1], m3.edge1]
@@ -612,7 +597,7 @@ def _case_independent(
         end_at[m3.mid_x] = (i, 1)
     used_ends: set[int] = set()
     for y1 in chosen.values():
-        h, m = f.in_edge(y1), f.out_edge(y1)  # y1's color-2 and color-1 edges
+        h, m = f.out[f.pred[y1]], f.out[y1]  # y1's color-2 and color-1 edges
         if h.mid_x not in end_at or h.mid_x in used_ends:
             raise InvariantError(f"color-2 neighbor x{h.mid_x} of y{y1} is not a free path end")
         used_ends.add(h.mid_x)
@@ -630,7 +615,7 @@ def _case_independent(
 def _case_spread(
     f: FGraph, chosen: dict[int, int], outside: list[tuple[int, int]], xs: list[Vertex], ys: list[Vertex]
 ) -> list[Path]:
-    deleted = {f.in_index[m] for m in chosen.values()}
+    tails = {f.pred[m] for m in chosen.values()}  # the deleted edges leave these
     paths = []
     for m in chosen.values():
         x0, eid = outside[m]
@@ -638,15 +623,15 @@ def _case_spread(
         eids = [eid]
         cur = m
         steps = 0
-        while f.out_index[cur] not in deleted:
-            e = f.out_edge(cur)
+        while cur not in tails:
+            e = f.out[cur]
             verts.extend([xs[e.mid_x], ys[e.v]])
             eids.extend([e.edge1, e.edge2])
             cur = e.v
             steps += 1
             if steps > 3:
                 raise InvariantError("spread walk exceeded 3 F-edges")
-        e = f.out_edge(cur)  # deleted ahead; its middle is still uncovered
+        e = f.out[cur]  # deleted ahead; its middle is still uncovered
         verts.append(xs[e.mid_x])
         eids.append(e.edge1)
         paths.append(Path(tuple(verts), tuple(eids)))

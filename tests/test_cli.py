@@ -452,6 +452,18 @@ def test_hunt_archives_the_graph_it_drew(capsys, tmp_path, monkeypatch):
         assert saved == to_json(random_34_biregular(2, seed=seed, simple_only=True))
 
 
+def test_hunt_reports_its_seeds_when_the_archive_fails(capsys, tmp_path, monkeypatch):
+    # an --archive naming a file cannot be written, which exits 3, but the
+    # report with the counterexample seeds is already on stdout
+    monkeypatch.setattr(cli, "search_proper_path_factor", no_factor)
+    monkeypatch.setattr(cli, "pivot_path_factor", no_factor)
+    archive = tmp_path / "afile"
+    archive.write_text("")
+    code, out, err = run(capsys, "hunt", "--k", "2", "--trials", "2", "--seed", "5", "--archive", str(archive))
+    assert code == 3 and "File exists" in err
+    assert json.loads(out)["counterexample_seeds"] == [5, 6]
+
+
 def test_hunt_reports_each_confirmation_outcome(capsys, tmp_path, monkeypatch):
     # the search finds no factor anywhere; the reference, run under the same
     # node cap, confirms seed 30, finds a factor at 31 and runs out at 32
@@ -579,6 +591,13 @@ def test_negative_counts_are_rejected(capsys, tmp_path):
         code, out, err = run(capsys, *hunt, "--trials", "2", "--jobs", jobs)
         assert (code, out) == (3, ""), jobs
         assert f"expected a positive integer, got '{jobs}'" in err, jobs
+    for k in ("0", "-2"):  # so must a size
+        for args in [("gen", "--family", "random", "--k", k, "--out", str(tmp_path / "g0.json")),
+                     ("hunt", "--k", k, "--trials", "0", "--archive", str(tmp_path / "hits"))]:
+            code, out, err = run(capsys, *args)
+            assert (code, out) == (3, ""), args
+            assert f"expected a positive integer, got '{k}'" in err, args
+    assert not (tmp_path / "g0.json").exists()
     assert not (tmp_path / "hits").exists()
     # zero stays a valid cap and trial count
     code, out, _ = run(capsys, "factor", "--in", str(gpath), "--max-nodes", "0")

@@ -183,8 +183,8 @@ def test_fgraph_cycles_canonical():
     assert f.cycles == ((0, 1), (2,))
     f = FGraph(4, (FEdge(1, 3), FEdge(3, 0), FEdge(0, 2), FEdge(2, 1)))
     assert f.cycles == ((0, 2, 1, 3),)
-    assert f.out_edge(2) == FEdge(2, 1)
-    assert f.in_edge(2) == FEdge(0, 2)
+    assert f.out[2] == FEdge(2, 1)
+    assert f.out[f.pred[2]] == FEdge(0, 2)
 
 
 def fgraph_cycles_walk(f):
@@ -200,7 +200,7 @@ def fgraph_cycles_walk(f):
         while not seen[w]:
             seen[w] = True
             cyc.append(w)
-            w = f.out_edge(w).v
+            w = f.out[w].v
         out.append(tuple(cyc))
     return tuple(out)
 
@@ -226,8 +226,8 @@ def test_fgraph_facts_match_references():
         f = permutation_fgraph(rng.randrange(1, 40), rng)
         assert f.cycles == fgraph_cycles_walk(f)
         nbrs, looped = f_neighbors_reference(f)
-        assert f.neighbors == tuple(frozenset(nbrs[y]) for y in range(f.n))
-        assert f.looped == looped
+        assert [{f.out[y].v, f.pred[y]} - {y} for y in range(f.n)] == [nbrs[y] for y in range(f.n)]
+        assert {y for y in range(f.n) if f.out[y].v == y} == looped
         loops += bool(looped)
         twos += any(len(c) == 2 for c in f.cycles)
     assert loops and twos
@@ -595,6 +595,34 @@ def test_forced_spread_part_is_rejected_exactly_when_not_spread():
     assert outcomes == {True, False}
 
 
+def test_forced_independent_part_is_rejected_exactly_when_not_independent():
+    # The reference reads the edge list: a part is independent unless a
+    # member carries a loop (parallel edges of the core put loops into F)
+    # or two members share an F-edge.
+    rng = random.Random(31)
+    outcomes = set()
+    loops_alone = 0  # rejections that only a looped member explains
+    for _ in range(200):
+        g = random_core_admitting(rng.randrange(2, 6), rng)
+        cert = search_full_3regular(g)
+        f, ts = build_f(g, cert)
+        members = tuple(rng.choice(t) for t in ts.triples)
+        chosen = set(members)
+        looped = any(e.u == e.v and e.u in chosen for e in f.edges)
+        shared = any(e.u != e.v and e.u in chosen and e.v in chosen for e in f.edges)
+        loops_alone += looped and not shared
+        independent = not (looped or shared)
+        outcomes.add(independent)
+        forced = MixedTransversal(members, (TransversalPart(tuple(range(len(ts.triples))), "independent"),))
+        if independent:
+            factor = factor_from_mixed_transversal(g, cert, mixed=forced)
+            assert check_proper_path_factor(g, factor)
+        else:
+            with pytest.raises(ValueError, match="^part is not an independent transversal$"):
+                factor_from_mixed_transversal(g, cert, mixed=forced)
+    assert outcomes == {True, False} and loops_alone
+
+
 def test_factors_pinned_on_core_pool_and_random_cores(monkeypatch):
     # sha256 of the factors factor_from_mixed_transversal builds on the
     # planted cores of the first 12 rounds of the benchmark's seed-7
@@ -841,7 +869,7 @@ def test_spread_search_does_not_recurse():
 
 def hall_refutes_for(f, ts, idxs):
     """`_hall_refutes` on the triples `idxs`, set up as `_independent_for` does."""
-    domains = [[y for y in ts.triples[i] if y not in f.looped] for i in sorted(idxs)]
+    domains = [[y for y in ts.triples[i] if f.out[y].v != y] for i in sorted(idxs)]
     return _hall_refutes(f, ts, domains)
 
 
