@@ -7,8 +7,8 @@ fixed position in the edge list, and that position is the edge's id.
 Parallel edges are therefore distinct objects, and certificates (path
 factors, colorings, subgraphs) can reference edges unambiguously.
 
-Graphs are immutable after build(); operations that need a modified graph
-(deleting Y-vertices, composing two graphs) return a new one together
+Graphs are immutable after build(), the one validator of counts and edges
+(from_dict hands it the edge list). delete_y returns a new graph together
 with index maps back to the original.
 """
 
@@ -162,7 +162,7 @@ class BipartiteMultigraph:
 
 
 def build(x_count: int, y_count: int, edges: Sequence[tuple[int, int]]) -> BipartiteMultigraph:
-    """Build a graph, checking that every endpoint is an int (not a bool) in range.
+    """Build a graph, checking for nonnegative counts and pairs of in-range int (not bool) endpoints.
 
     Edge ids are the positions in `edges`; the list is kept as given.
     """
@@ -437,38 +437,26 @@ def _strict_int(value, what: str) -> int:
 
 
 def from_dict(d: dict) -> BipartiteMultigraph:
-    """The graph a to_dict() object describes, checking each endpoint once.
+    """The graph a to_dict() object describes, checked by build().
 
-    Errors come in build()'s order, except that a non-integer anywhere in
-    the object wins over every count, arity and range error.
+    One rule is this loader's own: a non-integer anywhere in the object
+    wins over every count, arity and range error.
     """
     try:
         x_count = _strict_int(d["x_count"], "x_count")
         y_count = _strict_int(d["y_count"], "y_count")
-        edges = []
-        late: ValueError | None = None  # first arity or range error, raised after the type checks
-        for pos, e in enumerate(d["edges"]):
-            pair = tuple(e)
-            if not (len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
-                pair = tuple(int(_strict_int(v, "edge endpoint")) for v in pair)
-            if late is not None:
-                continue
-            try:
-                x, y = pair
-            except ValueError as exc:
-                late = exc
-                continue
-            if not (0 <= x < x_count and 0 <= y < y_count):
-                late = ValueError(f"edge {pos} joins ({x}, {y}), outside 0..{x_count - 1} x 0..{y_count - 1}")
-                continue
-            edges.append(pair)
+        edges = d["edges"]
+        try:
+            return build(x_count, y_count, edges)
+        except (ValueError, TypeError):
+            # build() stops at or before the first non-integer endpoint, so
+            # only a failed build can leave one unreported
+            for e in edges:
+                for v in e:
+                    _strict_int(v, "edge endpoint")
+            raise
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph object: {exc}") from exc
-    if x_count < 0 or y_count < 0:
-        raise ValueError("vertex counts must be nonnegative")
-    if late is not None:
-        raise late
-    return BipartiteMultigraph(x_count, y_count, tuple(edges))
 
 
 def to_json(g: BipartiteMultigraph) -> str:
@@ -490,11 +478,11 @@ DOT_PALETTE = {
 }
 
 
-def to_dot(g: BipartiteMultigraph, edge_colors: dict[int, int] | None = None) -> str:
+def to_dot(g: BipartiteMultigraph, edge_colors: Sequence[int] | dict[int, int] | None = None) -> str:
     """DOT text: X-vertices as circles, Y as squares, parallel edges separate.
 
-    With `edge_colors` (edge id -> color 1..6), edges are drawn in a fixed
-    palette and labeled with their color.
+    With `edge_colors` (colors 1..6 indexed by edge id: a coloring's `colors`
+    or a dict), edges are drawn in a fixed palette, labeled with their color.
     """
     lines = ["graph G {", "  rankdir=LR;"]
     lines.append("  { rank=same; " + " ".join(f"x{i};" for i in range(g.x_count)) + " }")

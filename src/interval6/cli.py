@@ -168,8 +168,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     out = args.out or "-"
     _write_text(out, json.dumps(coloring_to_dict(coloring)) + "\n")
     if args.dot:
-        colors = {eid: c for eid, c in enumerate(coloring.colors)}
-        _write_text(args.dot, to_dot(g, colors))
+        _write_text(args.dot, to_dot(g, coloring.colors))
     if args.summary:
         for v, got in color_summary(g, coloring).items():
             print(f"{v.label}: {' '.join(map(str, got))}")
@@ -282,9 +281,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     g = _load(args.graph, "graph", from_json)
-    colors = None
-    if args.coloring:
-        colors = dict(enumerate(_load_coloring(args.coloring, g).colors))
+    colors = _load_coloring(args.coloring, g).colors if args.coloring else None
     _write_text(args.dot, to_dot(g, colors))
     return EXIT_OK
 

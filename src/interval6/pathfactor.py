@@ -77,6 +77,13 @@ class SearchResult:
     nodes: int
 
 
+def _node_cap(max_nodes: int | None) -> float:
+    """`max_nodes` as a bound on a search's node count, None for no bound; negative is a ValueError."""
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be nonnegative, got {max_nodes}")
+    return math.inf if max_nodes is None else max_nodes
+
+
 def _factor_or_raise(g: BipartiteMultigraph, factor: PathFactor) -> None:
     why = path_factor_violation(g, factor)
     if why is not None:
@@ -296,9 +303,9 @@ def _exact_cover(
     revives them. Each node branches on the uncovered primary element
     with the fewest live candidates (ties: lowest element) and tries
     those candidates in ascending id; a secondary element left with no
-    live candidate is no dead end. Every node counts against
-    `max_nodes`, the root and dead ends included; the node past the cap
-    raises BudgetExceeded. Returns the chosen ids sorted, or None.
+    live candidate is no dead end. Every node, the root and dead ends
+    included, counts against `max_nodes` (negative: ValueError); the node
+    past the cap raises BudgetExceeded. Returns the chosen ids sorted, or None.
 
     The live counts are one byte per element, and a covered element holds
     `done`, one above the largest starting count. A node finds its
@@ -309,6 +316,7 @@ def _exact_cover(
     Hence the precondition: no element lies in 255 or more candidates
     (ValueError otherwise); the callers have at most 4.
     """
+    cap = _node_cap(max_nodes)
     if primary is None:
         primary = universe
     ordered = sorted(candidates, key=lambda c: c[0])
@@ -326,7 +334,7 @@ def _exact_cover(
     nodes = 0
     while True:
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
+        if nodes > cap:
             raise BudgetExceeded(f"exact cover stopped after {nodes} nodes")
         for least in range(done):
             el = live_count.find(least, 0, primary)
@@ -375,8 +383,8 @@ def find_y_cover(g: BipartiteMultigraph, max_nodes: int | None = None) -> tuple[
     Only Y-vertices with four distinct neighbors qualify (a parallel edge
     would leave its X-vertex short after deletion). Deleting such a set
     leaves every X-vertex with exactly 2 edges, i.e. a (2,4)-biregular
-    graph. `max_nodes` caps the exact-cover search nodes; exceeding it
-    raises BudgetExceeded, so None always means no cover exists.
+    graph. `max_nodes` caps the exact-cover search nodes (negative: ValueError);
+    exceeding it raises BudgetExceeded, so None always means no cover exists.
     """
     biregular34_k(g)
     at_y: list[list[int]] = [[] for _ in range(g.y_count)]
@@ -396,8 +404,8 @@ def p7_factor_via_24(g: BipartiteMultigraph, max_nodes: int | None = None) -> Pa
     each of its length-2 paths back into a length-6 path T_i - u - T_j.
     Every contracted point has degree 1 in that half factor, so T_i and
     T_j always differ and one pass suffices. `max_nodes` is passed to
-    find_y_cover, whose BudgetExceeded propagates (as does its ValueError
-    on a graph that is not (3,4)-biregular).
+    find_y_cover, whose BudgetExceeded propagates (as do its ValueErrors
+    on a graph that is not (3,4)-biregular and on a negative cap).
     """
     cover = find_y_cover(g, max_nodes=max_nodes)
     if cover is None:
@@ -483,9 +491,10 @@ def search_proper_path_factor(
 
     Counts one node per visit to a search depth: a Y index, or the leaf
     past the last one (so 3k Y-vertices take at least 3k + 1 nodes to a
-    factor). The node past `max_nodes` (None: no cap) ends the search as
-    "unknown", with `nodes == max_nodes + 1`.
+    factor). The node past `max_nodes` (None: no cap; negative: ValueError)
+    ends the search as "unknown", with `nodes == max_nodes + 1`.
     """
+    cap = _node_cap(max_nodes)
     k = biregular34_k(g)
     allowed = _length_set(lengths)
     if k and 6 not in allowed and not (8 in allowed and any(
@@ -493,7 +502,6 @@ def search_proper_path_factor(
             for c2 in range(k // 3 + 1 if 2 in allowed else 1))):
         return SearchResult("none", None, 0)  # no k allowed lengths sum to 6k
     longest = max(allowed)
-    cap = math.inf if max_nodes is None else max_nodes
 
     n, ny = g.x_count, g.y_count
     ex = [0] * g.edge_count  # per edge: its X-end
@@ -593,14 +601,14 @@ def pivot_path_factor(
     i is node i, Y-vertex j is node x_count + j) read from
     `g.node_adj`; `Path` objects are built only for the returned factor.
     It counts one node per search step: choosing a pivot, and entering a
-    right-arm or left-arm end. `max_nodes` bounds that count; the node
-    past it ends the search with status "unknown" (and `nodes ==
-    max_nodes + 1`), which is distinct from the definitive "none".
+    right-arm or left-arm end. `max_nodes` (negative: ValueError) bounds
+    that count; the node past it ends the search with status "unknown" (and
+    `nodes == max_nodes + 1`), which is distinct from the definitive "none".
     """
+    cap = _node_cap(max_nodes)
     biregular34_k(g)
     allowed = _length_set(lengths)
     longest = max(allowed)
-    cap = math.inf if max_nodes is None else max_nodes
 
     n = g.x_count
     adj = g.node_adj
@@ -719,7 +727,7 @@ def search_full_3regular(
     live X-candidates (ties: lowest index), try candidates in ascending
     X index. `max_nodes` caps the search nodes, root and dead ends
     included; exceeding it raises BudgetExceeded, so None always means
-    no such subgraph exists.
+    no such subgraph exists. A negative cap is a ValueError.
     """
     biregular34_k(g)
     cands = []

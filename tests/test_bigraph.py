@@ -376,6 +376,87 @@ def test_from_dict_matches_reference_on_malformed_input():
         assert got == want, d
 
 
+FAULTS = ("type", "arity", "shape", "range", "count", "key")
+
+
+def mutated(d, rng):
+    """A copy of graph object `d` with 1-3 seeded faults, and the faults as (kind, edge position)."""
+    x_count, y_count = d["x_count"], d["y_count"]
+    edges = [list(e) for e in d["edges"]]
+    out = {"x_count": x_count, "y_count": y_count, "edges": edges}
+    spots = iter(rng.sample(range(len(edges)), 3))  # edge faults land on distinct edges
+    faults = []
+    for kind in rng.choices(FAULTS, k=rng.randint(1, 3)):
+        if kind == "count":
+            out[rng.choice(("x_count", "y_count"))] = -rng.randint(1, 3)
+            faults.append((kind, None))
+            continue
+        if kind == "key":
+            out.pop(rng.choice(("x_count", "y_count", "edges")), None)
+            faults.append((kind, None))
+            continue
+        pos = next(spots)
+        e = edges[pos]
+        side = rng.randrange(2)
+        if kind == "type":
+            e[side] = rng.choice((0.5, True, "1", None))
+        elif kind == "arity":
+            if rng.randrange(2):
+                e.append(rng.randrange(y_count))
+            else:
+                del e[side]
+        elif kind == "shape":
+            edges[pos] = rng.choice((pos, "7", "01"))
+        else:
+            e[side] = rng.choice((-1, (x_count, y_count)[side]))
+        faults.append((kind, pos))
+    return out, faults
+
+
+def outcome(load, d):
+    try:
+        return ("ok", load(d))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# the part of a rejection's message that names the rule it broke
+MESSAGE_KINDS = [
+    ("type", "must be an integer"),
+    ("arity", "unpack"),
+    ("range", "outside"),
+    ("count", "vertex counts"),
+    ("malformed", "malformed graph object"),
+]
+
+
+def outcome_kind(result):
+    status, value = result
+    if status == "ok":
+        return "ok"
+    return next((kind for kind, part in MESSAGE_KINDS if part in value), value)
+
+
+def test_from_dict_matches_reference_on_mutated_graphs():
+    rng = random.Random(30)
+    kinds = set()
+    type_after_range_or_arity = 0
+    for k in (1, 2, 3):
+        for simple in (True, False):
+            for seed in range(3):
+                d = bigraph.to_dict(random_34_biregular(k, seed, simple_only=simple))
+                cases = [(d, [])] + [mutated(d, rng) for _ in range(20)]
+                for obj, faults in cases:
+                    want = outcome(reference_from_dict, obj)
+                    assert outcome(bigraph.from_dict, obj) == want, (obj, faults)
+                    kinds.add(outcome_kind(want))
+                    first_bad = min((pos for kind, pos in faults if kind in ("range", "arity")), default=None)
+                    if first_bad is not None and any(kind == "type" and pos > first_bad for kind, pos in faults):
+                        type_after_range_or_arity += 1
+    assert kinds == {"ok", "type", "arity", "range", "count", "malformed"}
+    assert type_after_range_or_arity
+
+
 def test_dot_output_draws_parallel_edges_separately():
     g = build(1, 1, [(0, 0), (0, 0)])
     dot = bigraph.to_dot(g)

@@ -18,7 +18,7 @@ from helpers import (
 from interval6.bigraph import build, delete_y, is_biregular
 from interval6.checker import check_proper_path_factor, factor_to_dict
 from interval6.coloring import color_from_factor
-from interval6.errors import InvariantError
+from interval6.errors import BudgetExceeded, InvariantError
 from interval6.generators import claw_triple_graph, eight_triples_graph, subset_graph_6
 from interval6.oracle import oracle_full_3regular
 from interval6.pathfactor import (
@@ -269,6 +269,21 @@ def test_search_budget_exhaustion():
     assert res.status == "unknown"
     assert res.factor is None
     assert res.nodes == 4
+
+
+@pytest.mark.parametrize(
+    "search", [search_proper_path_factor, pivot_path_factor, find_y_cover, p7_factor_via_24, search_full_3regular]
+)
+def test_negative_node_cap_is_rejected(search):
+    g, _ = subset_graph_6()
+    with pytest.raises(ValueError, match="max_nodes must be nonnegative, got -1"):
+        search(g, max_nodes=-1)
+    try:  # a cap of 0 stops at the root node
+        res = search(g, max_nodes=0)
+    except BudgetExceeded as exc:
+        assert str(exc) == "exact cover stopped after 1 nodes"
+    else:
+        assert (res.status, res.nodes) == ("unknown", 1)
 
 
 def test_search_agrees_with_oracle_on_small_instances():
