@@ -170,7 +170,10 @@ def build(x_count: int, y_count: int, edges: Sequence[tuple[int, int]]) -> Bipar
         raise ValueError("vertex counts must be nonnegative")
     clean = []
     for pos, pair in enumerate(edges):
-        x, y = pair
+        try:
+            x, y = pair
+        except ValueError:
+            raise ValueError(f"edge {pos} is not an (x, y) pair") from None
         if type(x) is not int or type(y) is not int:  # the common case skips both calls
             _strict_int(x, "edge endpoint")
             _strict_int(y, "edge endpoint")

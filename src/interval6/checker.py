@@ -27,7 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bigraph import _LABELS, BipartiteMultigraph, Vertex, _strict_int, node_vertex, parse_vertex, vertex_tables
+from .bigraph import (
+    _LABELS,
+    BipartiteMultigraph,
+    Vertex,
+    _strict_int,
+    biregular34_k,
+    node_vertex,
+    parse_vertex,
+    vertex_tables,
+)
 from .errors import InvariantError
 
 FACTOR_LENGTHS = (2, 4, 6, 8)
@@ -213,8 +222,7 @@ def check_full_3regular(g: BipartiteMultigraph, cert: SubgraphCertificate) -> bo
 
     Only defined over (3,4)-biregular graphs; anything else raises.
     """
-    if not g.biregular34:
-        raise ValueError("full 3-regular subgraphs are defined over (3,4)-biregular graphs")
+    biregular34_k(g)
     m = g.edge_count
     xdeg = [0] * g.x_count
     ydeg = [0] * g.y_count

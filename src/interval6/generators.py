@@ -186,6 +186,18 @@ def random_34_biregular(k: int, seed: int, simple_only: bool = True) -> Bipartit
     raise ValueError(f"no simple sample found for k={k}, seed={seed} in 10000 draws")
 
 
+def _vid(k: int, i: int, j: int) -> int:
+    """Vertex 3(i-1)+(j-1) of k triples: the j-th element of triple i, with i taken mod k."""
+    return 3 * ((i - 1) % k) + (j - 1)
+
+
+def _triple_link_structure(k: int, cycles: list[list[int]]) -> tuple[FGraph, TripleSystem]:
+    """F with one directed cycle per vertex list (a 2-cycle [a, b] is the
+    edges (a, b) and (b, a)), over k triples of consecutive vertices."""
+    edges = [FEdge(a, b) for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+    return FGraph(3 * k, tuple(edges)), TripleSystem(tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)))
+
+
 def independent_obstruction(k: int = 12) -> tuple[FGraph, TripleSystem]:
     """Link structure with no independent transversal (but a spread one).
 
@@ -201,23 +213,12 @@ def independent_obstruction(k: int = 12) -> tuple[FGraph, TripleSystem]:
     """
     if k < 6 or k % 6:
         raise ValueError("k must be a positive multiple of 6")
-
-    def vid(i: int, j: int) -> int:
-        return 3 * ((i - 1) % k) + (j - 1)
-
-    cycles = []
-    for i in range(1, k // 2 + 1):
-        cycles.append([vid(2 * i - 1, 1), vid(2 * i, 1), vid(2 * i - 1, 2), vid(2 * i, 2)])
+    cycles = [[_vid(k, 2 * i - 1, 1), _vid(k, 2 * i, 1), _vid(k, 2 * i - 1, 2), _vid(k, 2 * i, 2)]
+              for i in range(1, k // 2 + 1)]
     for i in range(1, k // 6 + 1):
-        cycles.append([vid(6 * i - 3, 3), vid(6 * i - 1, 3), vid(6 * i + 1, 3)])
-        cycles.append([vid(6 * i - 4, 3), vid(6 * i - 2, 3), vid(6 * i, 3)])
-    edges = []
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edges.append(FEdge(a, b))
-    f = FGraph(3 * k, tuple(edges))
-    ts = TripleSystem(tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)))
-    return f, ts
+        cycles.append([_vid(k, 6 * i - 3, 3), _vid(k, 6 * i - 1, 3), _vid(k, 6 * i + 1, 3)])
+        cycles.append([_vid(k, 6 * i - 4, 3), _vid(k, 6 * i - 2, 3), _vid(k, 6 * i, 3)])
+    return _triple_link_structure(k, cycles)
 
 
 def spread_obstruction(k: int = 8) -> tuple[FGraph, TripleSystem]:
@@ -231,22 +232,9 @@ def spread_obstruction(k: int = 8) -> tuple[FGraph, TripleSystem]:
     """
     if k < 2 or k % 2:
         raise ValueError("k must be a positive even number")
-
-    def vid(i: int, j: int) -> int:
-        return 3 * ((i - 1) % k) + (j - 1)
-
-    pairs = []
-    for i in range(1, k + 1):
-        pairs.append((vid(i, 1), vid(i + 1, 2)))
-    for i in range(1, k // 2 + 1):
-        pairs.append((vid(2 * i - 1, 3), vid(2 * i, 3)))
-    edges = []
-    for a, b in pairs:
-        edges.append(FEdge(a, b))
-        edges.append(FEdge(b, a))
-    f = FGraph(3 * k, tuple(edges))
-    ts = TripleSystem(tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)))
-    return f, ts
+    cycles = [[_vid(k, i, 1), _vid(k, i + 1, 2)] for i in range(1, k + 1)]
+    cycles += [[_vid(k, 2 * i - 1, 3), _vid(k, 2 * i, 3)] for i in range(1, k // 2 + 1)]
+    return _triple_link_structure(k, cycles)
 
 
 def no_mixed_transversal_instance() -> tuple[FGraph, TripleSystem]:

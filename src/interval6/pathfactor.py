@@ -87,7 +87,7 @@ def _node_cap(max_nodes: int | None) -> float:
 def _factor_or_raise(g: BipartiteMultigraph, factor: PathFactor) -> None:
     why = path_factor_violation(g, factor)
     if why is not None:
-        raise ValueError(f"not a proper path factor: {why}")
+        raise ValueError(f"factor rejected: {why}")
 
 
 _FLIP = bytes([1, 0]) + bytes(254)  # bytes.translate table: flag 0 <-> 1

@@ -505,33 +505,24 @@ def build_f(
     return f, TripleSystem(triples)
 
 
-def factor_from_mixed_transversal(
-    g: BipartiteMultigraph,
-    cert: SubgraphCertificate,
-    mixed: MixedTransversal | None = None,
-    colors: dict[int, int] | None = None,
-) -> PathFactor | None:
+def factor_from_mixed_transversal(g: BipartiteMultigraph, cert: SubgraphCertificate) -> PathFactor | None:
     """Proper path factor from a full 3-regular subgraph, or None.
 
-    Computes F and the triples, finds a mixed transversal (or uses the
-    one supplied), then builds the factor component by component. With
-    an independent part, each triple contributes the length-4 path
-    through its outside X-vertex and the two unchosen triple members,
-    capped by their color-1 partners; each chosen member then extends
-    one of those paths by its color-2 edge and its own color-1 partner.
-    With a spread part, each chosen member starts a walk along surviving
-    F-edges (incoming edges of chosen members are deleted), expanded to
-    length-2 steps through the F-edge middles and capped by the final
-    vertex's color-1 partner, which is exactly the middle of the deleted
-    edge ahead.
+    Computes F and the triples, finds a mixed transversal, then builds
+    the factor component by component. With an independent part, each
+    triple contributes the length-4 path through its outside X-vertex
+    and the two unchosen triple members, capped by their color-1
+    partners; each chosen member then extends one of those paths by its
+    color-2 edge and its own color-1 partner. With a spread part, each
+    chosen member starts a walk along surviving F-edges (incoming edges
+    of chosen members are deleted), expanded to length-2 steps through
+    the F-edge middles and capped by the final vertex's color-1 partner,
+    which is exactly the middle of the deleted edge ahead.
     """
-    f, ts = build_f(g, cert, colors=colors)
+    f, ts = build_f(g, cert)
+    mixed = find_mixed_transversal(f, ts)
     if mixed is None:
-        mixed = find_mixed_transversal(f, ts)
-        if mixed is None:
-            return None
-    else:  # a computed transversal is checked through the factor it yields
-        _validate_mixed(f, ts, mixed)
+        return None
 
     # Each Y-vertex has one edge to the X-vertices outside the subgraph:
     # to the one whose neighborhood is its triple.
@@ -550,34 +541,6 @@ def factor_from_mixed_transversal(
             paths.extend(_case_spread(f, chosen, outside, xs, ys))
 
     return finish_factor(g, PathFactor(tuple(paths)), "transversal construction")
-
-
-def _validate_mixed(f: FGraph, ts: TripleSystem, mixed: MixedTransversal) -> None:
-    k = len(ts.triples)
-    if len(mixed.members) != k:
-        raise ValueError("one member per triple required")
-    for i, y in enumerate(mixed.members):
-        if y not in ts.triples[i]:
-            raise ValueError(f"member {y} is not in triple {i}")
-    covered = sorted(i for part in mixed.parts for i in part.indices)
-    if covered != list(range(k)):
-        raise ValueError("parts do not partition the triples")
-    part_of = {i: p for p, part in enumerate(mixed.parts) for i in part.indices}
-    for comp in fstar_components(f, ts):
-        if len({part_of[ts.triple_of[y]] for y in comp}) > 1:
-            raise ValueError("parts split an F* component")
-    for part in mixed.parts:
-        chosen = {mixed.members[i] for i in part.indices}
-        if part.case == "independent":
-            if any(f.out[y].v in chosen for y in chosen):  # a loop, or an F-edge inside the part
-                raise ValueError("part is not an independent transversal")
-        elif part.case == "spread":
-            cycles = (f.cycles[c] for c in _cycles_through(f, ts, part.indices))
-            why = _spread_violation(cycles, chosen)
-            if why is not None:
-                raise ValueError(f"part {why}, not spread")
-        else:
-            raise ValueError(f"unknown case {part.case!r}")
 
 
 def _case_independent(

@@ -423,7 +423,7 @@ def outcome(load, d):
 # the part of a rejection's message that names the rule it broke
 MESSAGE_KINDS = [
     ("type", "must be an integer"),
-    ("arity", "unpack"),
+    ("arity", "not an (x, y) pair"),
     ("range", "outside"),
     ("count", "vertex counts"),
     ("malformed", "malformed graph object"),

@@ -114,7 +114,7 @@ def reference_path_factor_violation(g: BipartiteMultigraph, factor: PathFactor) 
 def reference_factor_or_raise(g: BipartiteMultigraph, factor: PathFactor) -> None:
     why = reference_path_factor_violation(g, factor)
     if why is not None:
-        raise ValueError(f"not a proper path factor: {why}")
+        raise ValueError(f"factor rejected: {why}")
 
 
 def reference_build_q(g: BipartiteMultigraph, factor: PathFactor) -> QDecomposition:

@@ -194,6 +194,17 @@ def test_input_errors_pinned(capsys, tmp_path):
     for method in ("search", "oracle", "via24", "transversal"):
         assert run(capsys, "factor", "--in", str(bad), "--method", method) == not_biregular
     assert run(capsys, "verify", "--in", str(bad), "--oracle") == not_biregular
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"edges": [0, 1]}')
+    assert run(capsys, "verify", "--in", str(bad), "--cert", str(cert)) == not_biregular
+    # an edge of the wrong arity is named by position; a non-integer anywhere still wins
+    for edges, why in (("[[0, 0], [1, 0, 2]]", "edge 1 is not an (x, y) pair"),
+                       ("[[0, 0], [1]]", "edge 1 is not an (x, y) pair"),
+                       ("[[0, 0], [1, 0, 2], [1, 0.5]]", "edge endpoint must be an integer, got 0.5")):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(f'{{"x_count": 2, "y_count": 1, "edges": {edges}}}')
+        assert run(capsys, "export", "--in", str(malformed)) == (
+            3, "", f"error: cannot read graph from {malformed}: {why}\n")
     gpath = tmp_path / "g.json"
     fpath = tmp_path / "f.json"
     run(capsys, "gen", "--family", "subset6", "--out", str(gpath), "--factor-out", str(fpath))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from helpers import random_core_admitting, recursion_limit
 
+from interval6 import transversal
 from interval6.bigraph import build
 from interval6.checker import check_full_3regular, check_proper_path_factor
 from interval6.generators import (
@@ -73,6 +74,14 @@ def disjoint_copies(f, ts, copies):
 
 def consecutive_triples(n):
     return TripleSystem(tuple((i, i + 1, i + 2) for i in range(0, n, 3)))
+
+
+def forced_factor(monkeypatch, g, cert, mixed):
+    """The factor the construction assembles from `mixed` instead of the
+    transversal it would find; only a valid `mixed` may be forced."""
+    with monkeypatch.context() as m:
+        m.setattr(transversal, "find_mixed_transversal", lambda f, ts: mixed)
+        return factor_from_mixed_transversal(g, cert)
 
 
 def brute_independent(f, ts):
@@ -474,14 +483,14 @@ def test_factor_via_independent_case():
     assert sorted(p.length for p in factor.paths) == [6, 6, 6]
 
 
-def test_factor_via_spread_case():
+def test_factor_via_spread_case(monkeypatch):
     g = nine_cycle_instance()
     cert = search_full_3regular(g)
     f, ts = build_f(g, cert)
     members = find_spread_transversal(f, ts)
     assert members == (0, 1, 5)
     forced = MixedTransversal(members, (TransversalPart((0, 1, 2), "spread"),))
-    factor = factor_from_mixed_transversal(g, cert, mixed=forced)
+    factor = forced_factor(monkeypatch, g, cert, forced)
     assert check_proper_path_factor(g, factor)
     assert sorted(p.length for p in factor.paths) == [2, 8, 8]
     # every path starts at a deleted-x vertex and steps onto its member
@@ -491,61 +500,25 @@ def test_factor_via_spread_case():
     assert seconds == [0, 1, 5]
 
 
-def test_factor_rejects_bad_mixed():
-    g = nine_cycle_instance()
-    cert = search_full_3regular(g)
-    part = TransversalPart((0, 1, 2), "spread")
-    with pytest.raises(ValueError):  # member outside its triple
-        factor_from_mixed_transversal(
-            g, cert, mixed=MixedTransversal((1, 1, 5), (part,)))
-    with pytest.raises(ValueError):  # parts miss a triple
-        factor_from_mixed_transversal(
-            g, cert, mixed=MixedTransversal((0, 1, 5), (TransversalPart((0, 1), "spread"),)))
-    with pytest.raises(ValueError):  # not spread: gap of four behind 2
-        factor_from_mixed_transversal(
-            g, cert, mixed=MixedTransversal((2, 1, 5), (part,)))
-    with pytest.raises(ValueError):  # 0 and 1 are F-adjacent
-        factor_from_mixed_transversal(
-            g, cert, mixed=MixedTransversal((0, 1, 5), (TransversalPart((0, 1, 2), "independent"),)))
-    with pytest.raises(ValueError):  # unknown case tag
-        factor_from_mixed_transversal(
-            g, cert, mixed=MixedTransversal((0, 1, 5), (TransversalPart((0, 1, 2), "chained"),)))
-    for members in ((0, 1), (0, 1, 5, 2)):
-        with pytest.raises(ValueError, match="^one member per triple required$"):
-            factor_from_mixed_transversal(g, cert, mixed=MixedTransversal(members, (part,)))
-
-
-def test_factor_rejects_parts_that_split_a_component():
-    # The nine-cycle's link structure is one F* component, so every part
-    # set but the single part splits it: each member choice, split and
-    # case per part either builds a verified factor or is a ValueError,
-    # never an InvariantError.
+def test_every_valid_whole_part_builds_a_factor(monkeypatch):
+    # The nine-cycle's link structure is one F* component, so a part over
+    # all three triples is the only part set a mixed transversal can
+    # have. Each member choice that is independent or spread builds a
+    # verified factor under that case.
     g = nine_cycle_instance()
     cert = search_full_3regular(g)
     f, ts = build_f(g, cert)
     assert len(fstar_components(f, ts)) == 1
-    split_parts = TransversalPart((0,), "independent"), TransversalPart((1, 2), "independent")
-    with pytest.raises(ValueError, match=r"^parts split an F\* component$"):
-        factor_from_mixed_transversal(g, cert, mixed=MixedTransversal((0, 1, 5), split_parts))
-    splits = [((0, 1, 2),), ((0,), (1, 2)), ((1,), (0, 2)), ((2,), (0, 1)), ((0,), (1,), (2,))]
-    built = rejected = 0
+    built = {"independent": 0, "spread": 0}
     for members in itertools.product(*ts.triples):
-        for split in splits:
-            for cases in itertools.product(("independent", "spread"), repeat=len(split)):
-                mixed = MixedTransversal(members, tuple(map(TransversalPart, split, cases)))
-                if len(split) > 1:
-                    with pytest.raises(ValueError, match="split"):
-                        factor_from_mixed_transversal(g, cert, mixed=mixed)
-                    continue
-                try:
-                    factor = factor_from_mixed_transversal(g, cert, mixed=mixed)
-                except ValueError as exc:
-                    assert str(exc).startswith("part ")
-                    rejected += 1
-                else:
-                    assert check_proper_path_factor(g, factor)
-                    built += 1
-    assert built and rejected and built + rejected == 2 * 27
+        valid = {"independent": not any(f.out[y].v in members for y in members),
+                 "spread": is_spread(f, members)}
+        for case in built:
+            if valid[case]:
+                mixed = MixedTransversal(members, (TransversalPart((0, 1, 2), case),))
+                assert check_proper_path_factor(g, forced_factor(monkeypatch, g, cert, mixed))
+                built[case] += 1
+    assert built == {"independent": 8, "spread": 11}
 
 
 def test_two_eight_triples_instance():
@@ -575,7 +548,7 @@ def test_factor_from_transversal_on_random_instances():
     assert factors >= 10
 
 
-def test_forced_spread_part_is_rejected_exactly_when_not_spread():
+def test_forced_spread_parts_build_verified_factors(monkeypatch):
     rng = random.Random(24)
     outcomes = set()
     for _ in range(60):
@@ -583,25 +556,21 @@ def test_forced_spread_part_is_rejected_exactly_when_not_spread():
         cert = search_full_3regular(g)
         f, ts = build_f(g, cert)
         members = tuple(rng.choice(t) for t in ts.triples)
-        forced = MixedTransversal(members, (TransversalPart(tuple(range(len(ts.triples))), "spread"),))
         spread = is_spread(f, members)
         outcomes.add(spread)
         if spread:
-            factor = factor_from_mixed_transversal(g, cert, mixed=forced)
-            assert check_proper_path_factor(g, factor)
-        else:
-            with pytest.raises(ValueError, match="not spread"):
-                factor_from_mixed_transversal(g, cert, mixed=forced)
+            forced = MixedTransversal(members, (TransversalPart(tuple(range(len(ts.triples))), "spread"),))
+            assert check_proper_path_factor(g, forced_factor(monkeypatch, g, cert, forced))
     assert outcomes == {True, False}
 
 
-def test_forced_independent_part_is_rejected_exactly_when_not_independent():
+def test_forced_independent_parts_build_verified_factors(monkeypatch):
     # The reference reads the edge list: a part is independent unless a
     # member carries a loop (parallel edges of the core put loops into F)
     # or two members share an F-edge.
     rng = random.Random(31)
     outcomes = set()
-    loops_alone = 0  # rejections that only a looped member explains
+    loops_alone = 0  # non-independent parts that only a looped member explains
     for _ in range(200):
         g = random_core_admitting(rng.randrange(2, 6), rng)
         cert = search_full_3regular(g)
@@ -613,13 +582,9 @@ def test_forced_independent_part_is_rejected_exactly_when_not_independent():
         loops_alone += looped and not shared
         independent = not (looped or shared)
         outcomes.add(independent)
-        forced = MixedTransversal(members, (TransversalPart(tuple(range(len(ts.triples))), "independent"),))
         if independent:
-            factor = factor_from_mixed_transversal(g, cert, mixed=forced)
-            assert check_proper_path_factor(g, factor)
-        else:
-            with pytest.raises(ValueError, match="^part is not an independent transversal$"):
-                factor_from_mixed_transversal(g, cert, mixed=forced)
+            forced = MixedTransversal(members, (TransversalPart(tuple(range(len(ts.triples))), "independent"),))
+            assert check_proper_path_factor(g, forced_factor(monkeypatch, g, cert, forced))
     assert outcomes == {True, False} and loops_alone
 
 
@@ -647,7 +612,7 @@ def test_factors_pinned_on_core_pool_and_random_cores(monkeypatch):
         spread = find_spread_transversal(f, ts) if force else None
         if spread is not None:
             whole = TransversalPart(tuple(range(len(ts.triples))), "spread")
-            factors.append(factor_from_mixed_transversal(g, cert, mixed=MixedTransversal(spread, (whole,))))
+            factors.append(forced_factor(monkeypatch, g, cert, MixedTransversal(spread, (whole,))))
             forced += 1
         for factor in factors:
             paths = factor and [([v.label for v in p.vertices], p.edges) for p in factor.paths]
